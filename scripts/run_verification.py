@@ -9,7 +9,7 @@ straight into a dataframe.
 Examples:
     python scripts/run_verification.py --m-max 9
     python scripts/run_verification.py --beta 2 3 --m-max 10 --guard 10 \
-        --workers 4 --format csv --timings
+        --format csv --timings
 """
 
 import argparse
@@ -30,8 +30,6 @@ def parse_args(argv=None):
                         help="largest edge count (default: 9)")
     parser.add_argument("--guard", type=int, default=DEFAULT_GUARD,
                         help=f"enumeration guard (default {DEFAULT_GUARD})")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel eigensolve workers (default 1)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in each report")
@@ -47,10 +45,9 @@ def main(argv=None) -> int:
         m_lo = beta if args.m_min is None else max(args.m_min, beta)
         for m in range(m_lo, args.m_max + 1):
             if beta == 1:
-                report = verify_beta1(m, guard=args.guard, workers=args.workers)
+                report = verify_beta1(m, guard=args.guard)
             else:
-                report = verify_theorem1(m, beta, guard=args.guard,
-                                         workers=args.workers)
+                report = verify_theorem1(m, beta, guard=args.guard)
             text = emit_report(report, args.format, include_timings=args.timings)
             if args.format == "csv" and not first:
                 text = text.split("\n", 1)[1]  # keep a single header

@@ -20,12 +20,12 @@ from .graphs import (
     union_all,
 )
 from .spectral import (
-    CONVERGENCE_TOL,
     Q_MARGIN,
     RESIDUAL_TOL,
     SpectralData,
     eigen_equation_check,
     q_matrix,
+    q_radii,
     q_radius,
     rayleigh_sum,
 )

@@ -34,7 +34,6 @@ class UsageError(Exception):
 class CliConfig:
     tolerance: float = RESIDUAL_TOL
     guard: int = DEFAULT_GUARD
-    workers: int = 1
     format: str = "json"
     output: Optional[str] = None
 
@@ -45,8 +44,6 @@ class CliConfig:
             raise UsageError(
                 f"tolerance must lie in [1e-14, 1e-6], got {self.tolerance!r}"
             )
-        if self.workers < 1:
-            raise UsageError(f"workers must be >= 1, got {self.workers}")
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         return self
@@ -71,7 +68,6 @@ def _config(args: argparse.Namespace) -> CliConfig:
     return CliConfig(
         tolerance=RESIDUAL_TOL if tolerance is None else tolerance,
         guard=guard,
-        workers=getattr(args, "workers", 1) or 1,
         format=getattr(args, "format", "json") or "json",
         output=getattr(args, "output", None),
     ).validate()
@@ -162,9 +158,9 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str],
 
 def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
     if args.beta == 1:
-        report = verify_beta1(args.m, guard=cfg.guard, workers=cfg.workers)
+        report = verify_beta1(args.m, guard=cfg.guard)
     else:
-        report = verify_theorem1(args.m, args.beta, guard=cfg.guard, workers=cfg.workers)
+        report = verify_theorem1(args.m, args.beta, guard=cfg.guard)
     text = emit_report(report, cfg.format, include_timings=args.timings)
     code = 0 if report.verdict == "pass" else 1
     return text.splitlines(), code
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--guard", type=int, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the report")

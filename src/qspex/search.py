@@ -12,9 +12,7 @@ the max over pieces, so class constraints transfer to the composition.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
 
 from .family import extremal_beta1, predicted_extremal
 from .graphs import (
@@ -22,7 +20,6 @@ from .graphs import (
     canonical_form,
     canonical_graph,
     components,
-    from_graph6,
     induced_subgraph,
     is_isomorphic,
     strip_isolated,
@@ -30,7 +27,7 @@ from .graphs import (
     union_all,
 )
 from .matching import matching_number
-from .spectral import Q_MARGIN, q_radius
+from .spectral import Q_MARGIN, q_radii, q_radius
 from .transform import ROTATION_MARGIN, kelmans_swap, rotate
 
 DEFAULT_GUARD = 10  # enumeration refuses edge counts beyond this unless raised
@@ -154,30 +151,19 @@ def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> lis
 # ---------------------------------------------------------------------------
 
 
-def _q_of_graph6(s: str) -> float:
-    return q_radius(from_graph6(s)).q
-
-
-def max_radius_over(graphs: list[Graph], workers: int = 1) -> tuple[float, list[Graph]]:
+def max_radius_over(graphs: list[Graph]) -> tuple[float, list[Graph]]:
     """Max q over a fixed graph list, keeping every graph within ARGMAX_BAND
-    of the best.  Order-preserving and deterministic for any worker count
-    (workers only parallelize the per-graph eigensolves)."""
+    of the best.  Order-preserving and deterministic."""
     if not graphs:
         raise ValueError("empty graph list")
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            radii = pool.map(_q_of_graph6, [to_graph6(g) for g in graphs], chunksize=16)
-    else:
-        radii = [q_radius(g).q for g in graphs]
+    radii = q_radii(graphs)
     best = max(radii)
     argmax = [g for g, q in zip(graphs, radii) if q >= best - ARGMAX_BAND]
     return best, argmax
 
 
 def brute_force_max(
-    query: EnumerationQuery,
-    guard: int = DEFAULT_GUARD,
-    workers: int = 1,
+    query: EnumerationQuery, guard: int = DEFAULT_GUARD
 ) -> tuple[float, list[Graph]]:
     """Max spectral radius over the query class, with every attaining graph."""
     if query.m < query.beta:
@@ -187,7 +173,7 @@ def brute_force_max(
     graphs = enumerate_graphs(query, guard=guard)
     if not graphs:
         raise ValueError(f"empty class for {query!r}")
-    return max_radius_over(graphs, workers=workers)
+    return max_radius_over(graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +210,10 @@ def hill_climb(
 
     Each step scans every rotation whose eigenvector sums justify it and every
     swap whose predicted gain is positive, keeps those that stay in the class
-    and raise q by more than the solver margin, and applies the best (largest
-    q_after, ties broken by the move's detail string).  Stops at a local
+    and raise q by more than the solver margin, and solves their radii in one
+    batch.  Among the kept moves whose q_after lies within Q_MARGIN of the
+    largest, it applies the least (move, detail), so exact ties between
+    symmetric moves are not decided by solver rounding.  Stops at a local
     maximum or after max_steps; the trace records whether the endpoint is
     isomorphic to the predicted extremal graph for the class.
     """
@@ -241,15 +229,8 @@ def hill_climb(
     for _ in range(max_steps):
         spectrum = q_radius(current)
         x = spectrum.x
-        best_move: Optional[tuple[float, str, str, tuple]] = None
-
-        def consider(q_after: float, move: str, detail: str, apply_args: tuple) -> None:
-            nonlocal best_move
-            if q_after <= spectrum.q + ROTATION_MARGIN:
-                return
-            cand = (-q_after, move, detail)
-            if best_move is None or cand < (-best_move[0], best_move[1], best_move[2]):
-                best_move = (q_after, move, detail, apply_args)
+        moves: list[tuple[str, str, tuple]] = []  # (move, detail, apply_args)
+        candidates: list[Graph] = []
 
         edges = current.edges()
         non_edges = [
@@ -268,7 +249,8 @@ def hill_climb(
                 h = current.remove_edge(e).add_edge(f)
                 if not _class_beta_ok(h, query):
                     continue
-                consider(q_radius(h).q, "rotate", f"-{e} +{f}", ("rotate", e, f))
+                moves.append(("rotate", f"-{e} +{f}", ("rotate", e, f)))
+                candidates.append(h)
         for a in range(len(edges)):
             for b in range(a + 1, len(edges)):
                 e1, e2 = edges[a], edges[b]
@@ -297,11 +279,21 @@ def hill_climb(
                     if not _class_beta_ok(h, query):
                         continue
                     detail = f"-{e1} -{e2} +{(min(ui, uj), max(ui, uj))} +{(min(vi, vj), max(vi, vj))}"
-                    consider(q_radius(h).q, "kelmans_swap", detail, ("swap", ei, ej))
+                    moves.append(("kelmans_swap", detail, ("swap", ei, ej)))
+                    candidates.append(h)
 
-        if best_move is None:
+        gains = [
+            (q_after, move)
+            for q_after, move in zip(q_radii(candidates), moves)
+            if q_after > spectrum.q + ROTATION_MARGIN
+        ]
+        if not gains:
             break
-        _, move, detail, apply_args = best_move
+        top = max(q_after for q_after, _ in gains)
+        _, _, apply_args = min(
+            (move for q_after, move in gains if q_after >= top - Q_MARGIN),
+            key=lambda move: move[:2],
+        )
         if apply_args[0] == "rotate":
             result = rotate(current, x, apply_args[1], apply_args[2])
         else:

@@ -137,7 +137,6 @@ def verify_theorem1(
     m: int,
     beta: int,
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
 ) -> VerificationReport:
     """Brute-force the class (exact matching number beta >= 2) and compare
     with the predicted extremal graph; lemma checks run on each maximizer.
@@ -157,7 +156,7 @@ def verify_theorem1(
     query = EnumerationQuery(m, beta, "exact")
     graphs = enumerate_graphs(query, guard=guard)
     classes = len(graphs)
-    qmax, argmax = max_radius_over(graphs, workers=workers)
+    qmax, argmax = max_radius_over(graphs)
     params = extremal_params(m, beta)
     predicted = canonical_graph(predicted_extremal(m, beta))
     q_predicted = q_radius(predicted).q
@@ -180,14 +179,14 @@ def verify_theorem1(
     )
 
 
-def verify_beta1(m: int, guard: int = DEFAULT_GUARD, workers: int = 1) -> VerificationReport:
+def verify_beta1(m: int, guard: int = DEFAULT_GUARD) -> VerificationReport:
     """The matching-number-one case: maximizers are stars, plus the triangle
     at m = 3.  Same report shape; no position-pair lemma to check."""
     t0 = time.perf_counter()
     query = EnumerationQuery(m, 1, "exact")
     graphs = enumerate_graphs(query, guard=guard)
     classes = len(graphs)
-    qmax, argmax = max_radius_over(graphs, workers=workers)
+    qmax, argmax = max_radius_over(graphs)
     q_expected, predicted_graphs = extremal_beta1(m)
     predicted = sorted(to_graph6(canonical_graph(g)) for g in predicted_graphs)
     got = sorted(to_graph6(g) for g in argmax)
@@ -224,7 +223,7 @@ def emit_report(
 ) -> str:
     """Serialize a report with a fixed field order and 12-significant-digit
     floats.  Timings are left out unless asked for, so reports from repeated
-    runs (and any worker count) are byte-identical."""
+    runs are byte-identical."""
     if format == "json":
         if r.params is None:
             params = "null"

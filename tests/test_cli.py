@@ -1,11 +1,16 @@
 import io
 import json
+import random
+import time
 
+import numpy as np
 import pytest
 
 from qspex.cli import main
 from qspex.family import build_s
-from qspex.graphs import canonical_graph, from_graph6, to_graph6
+from qspex.graphs import Graph, canonical_graph, components, from_graph6, to_graph6
+
+from helpers import ref_q_matrix
 
 C5 = "Dhc"
 P4 = "Ch"
@@ -52,6 +57,42 @@ class TestQ:
         assert code == 2 and "tolerance" in err
         code, _, _ = run(capsys, "q", K2, "--tolerance", "1e-8")
         assert code == 0
+
+    def test_small_spectral_gap(self, capsys):
+        # two K6 joined by an 8-vertex path with a pendant on its second
+        # vertex: the top gap is 6.9e-5, where power iteration gave up
+        g6 = "T~~w?CB?wF_^@???_?G?@??C??G??GC?C?@?"
+        code, out, err = run(capsys, "q", g6)
+        assert code == 0 and err == ""
+        q, x, residual = out.strip().split("\t")
+        q = float(q)
+        x = np.array([float(v) for v in x.split(",")])
+        assert float(residual) <= 1e-10
+        g = from_graph6(g6)
+        q_mat = ref_q_matrix(g)
+        # a positive eigenvector of a connected graph belongs to the top
+        # eigenvalue; the Rayleigh quotient of the printed vector pins q
+        assert len(components(g)) == 1 and x.min() > 0.0
+        assert float(x @ q_mat @ x / (x @ x)) == pytest.approx(q, abs=1e-9)
+        assert np.abs(q_mat @ x - q * x).max() <= 1e-9
+        # K6 (q = 10) is a proper subgraph, and q <= 2 * max degree
+        assert 10.0 < q <= 2 * max(g.degree(v) for v in range(g.n))
+
+    def test_noise_floor_tolerance_answers_fast(self, capsys):
+        rng = random.Random(50)
+        for _ in range(4):
+            g = Graph.from_edges(
+                50, [(u, v) for u in range(50) for v in range(u + 1, 50) if rng.random() < 0.8]
+            )
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "q", to_graph6(g), "--tolerance", "1e-14")
+            assert time.perf_counter() - t0 < 1.0
+            if code == 0:
+                assert float(out.strip().split("\t")[-1]) <= 1e-14
+            else:
+                assert code == 1 and out == ""
+                assert err.startswith("error: ") and "residual" in err
+                assert "Traceback" not in err
 
     def test_malformed_graph6(self, capsys):
         code, _, err = run(capsys, "q", "A_XYZ")
@@ -156,10 +197,10 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", "--m", "4", "--beta", "2", "--timings")
         assert "timings" in json.loads(out)
 
-    def test_workers_flag_same_output(self, capsys):
-        _, out1, _ = run(capsys, "verify", "--m", "5", "--beta", "2")
-        _, out2, _ = run(capsys, "verify", "--m", "5", "--beta", "2", "--workers", "2")
-        assert out1 == out2
+    def test_workers_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "verify", "--m", "5", "--beta", "2", "--workers", "2")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --workers 2" in err
 
 
 class TestClimb:

@@ -1,21 +1,26 @@
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from qspex import spectral
 from qspex.family import build_h, build_s
-from qspex.graphs import Graph, disjoint_union
+from qspex.graphs import Graph, components, disjoint_union
 from qspex.spectral import (
     RESIDUAL_TOL,
     SpectralData,
     eigen_equation_check,
     q_matrix,
+    q_radii,
     q_radius,
     rayleigh_sum,
 )
 
-from helpers import graphs, oracle_q_radius
+from helpers import graphs, oracle_power_q, oracle_q_radius, q_gap, random_graph
 
 
 def star(m):
@@ -84,6 +89,71 @@ class TestAgainstDenseEigensolve:
             return
         assert np.linalg.norm(s.x) == pytest.approx(1.0, abs=1e-12)
         assert (s.x >= -1e-12).all()
+
+
+class TestAgainstPowerIteration:
+    @given(graphs(max_n=10))
+    def test_matches_power_oracle(self, g):
+        assume(q_gap(g) >= 1e-3)
+        assert q_radius(g).q == pytest.approx(oracle_power_q(g), abs=1e-9)
+
+    @given(graphs(min_n=1, max_n=10))
+    def test_component_eigenvectors_are_perron(self, g):
+        # a strictly positive eigenvector of a connected graph belongs to its
+        # top eigenvalue, which certifies q without any other solver
+        for part, _ in components(g):
+            if part.m == 0:
+                continue
+            s = q_radius(part)
+            assert s.x.min() > 0.0
+            assert s.residual <= RESIDUAL_TOL
+
+
+class TestBatchedRadii:
+    @given(st.lists(graphs(max_n=9), max_size=24))
+    def test_matches_q_radius_across_chunks(self, gs):
+        # a chunk of 3 splits the same-n groups the way long lists are split
+        with mock.patch.object(spectral, "_CHUNK", 3):
+            radii = q_radii(gs)
+        assert len(radii) == len(gs)
+        for g, q in zip(gs, radii):
+            assert q == pytest.approx(q_radius(g).q, abs=1e-12)
+
+    def test_longer_than_one_chunk(self):
+        rng = random.Random(11)
+        gs = [random_graph(rng, max_n=12) for _ in range(300)]
+        gs += [Graph.from_edges(8), disjoint_union(star(3), cycle(4))] * 140
+        assert max(sum(g.n == n for g in gs) for n in range(13)) > 128
+        radii = q_radii(gs)
+        assert all(isinstance(q, float) for q in radii)
+        for g, q in zip(gs, radii):
+            assert q == pytest.approx(q_radius(g).q, abs=1e-12)
+
+    def test_edgeless_and_empty(self):
+        assert q_radii([]) == []
+        assert q_radii([Graph.from_edges(0), Graph.from_edges(5)]) == [0.0, 0.0]
+
+
+class TestResidualTolerance:
+    def test_power_steps_rescue_a_near_miss(self):
+        # K_{1,5}: q = 6, next eigenvalue 1, so each power step shrinks the
+        # error of a perturbed Perron vector about sixfold
+        q_mat = q_matrix(star(5))
+        x = np.array([5.0, 1, 1, 1, 1, 1]) / 30 ** 0.5
+        x[1] += 1e-8
+        x /= np.linalg.norm(x)
+        assert np.linalg.norm(q_mat @ x - (x @ q_mat @ x) * x) > RESIDUAL_TOL
+        q, y, residual = spectral._polish(q_mat, x, RESIDUAL_TOL)
+        assert residual <= RESIDUAL_TOL
+        assert q == pytest.approx(6.0, abs=1e-12)
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unreachable_tolerance_raises(self):
+        g = complete(40)
+        with pytest.raises(ArithmeticError, match="residual"):
+            q_radius(g, residual_tol=1e-30)
+        with pytest.raises(ArithmeticError, match="residual"):
+            q_radii([g], residual_tol=1e-30)
 
 
 class TestStructuralBounds:

@@ -133,12 +133,6 @@ class TestVerifyTheorem1:
         with pytest.raises(ValueError, match="beta"):
             verify_theorem1(5, 1)
 
-    def test_worker_count_does_not_change_the_report(self):
-        r1 = verify_theorem1(6, 2, workers=1)
-        r2 = verify_theorem1(6, 2, workers=3)
-        assert emit_report(r1) == emit_report(r2)
-        assert emit_report(r1, format="csv") == emit_report(r2, format="csv")
-
 
 class TestVerifyBeta1:
     def test_m3_two_maximizers(self):
