@@ -86,7 +86,8 @@ class TestQ:
             )
             t0 = time.perf_counter()
             code, out, err = run(capsys, "q", to_graph6(g), "--tolerance", "1e-14")
-            assert time.perf_counter() - t0 < 1.0
+            # spinning power iteration took about 11 s on such graphs
+            assert time.perf_counter() - t0 < 5.0
             if code == 0:
                 assert float(out.strip().split("\t")[-1]) <= 1e-14
             else:

@@ -142,18 +142,21 @@ class TestResidualTolerance:
         x = np.array([5.0, 1, 1, 1, 1, 1]) / 30 ** 0.5
         x[1] += 1e-8
         x /= np.linalg.norm(x)
-        assert np.linalg.norm(q_mat @ x - (x @ q_mat @ x) * x) > RESIDUAL_TOL
-        q, y, residual = spectral._polish(q_mat, x, RESIDUAL_TOL)
+        y = q_mat @ x
+        missed = float(np.linalg.norm(y - (x @ y) * x))
+        assert missed > RESIDUAL_TOL
+        q, x, residual = spectral._polish(q_mat, y, missed, RESIDUAL_TOL)
         assert residual <= RESIDUAL_TOL
         assert q == pytest.approx(6.0, abs=1e-12)
-        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_unreachable_tolerance_raises(self):
-        g = complete(40)
         with pytest.raises(ArithmeticError, match="residual"):
-            q_radius(g, residual_tol=1e-30)
+            q_radius(complete(40), residual_tol=1e-30)
+        # the batched path q_radii takes, on a stack of two graphs
+        stack = np.stack([q_matrix(complete(40)), q_matrix(star(39))])
         with pytest.raises(ArithmeticError, match="residual"):
-            q_radii([g], residual_tol=1e-30)
+            spectral._top_pairs(stack, 1e-30)
 
 
 class TestStructuralBounds:
