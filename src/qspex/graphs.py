@@ -276,11 +276,14 @@ def union_all(parts: Iterable[Graph]) -> Graph:
 # keep the one whose graph6 bit sequence is least.  The visited set is itself
 # relabeling-invariant (refinement and cell numbering depend only on structure),
 # so the winner is a true canonical representative even though it need not be
-# the global lexicographic minimum over all n! orderings.  Automorphisms
-# discovered at key-equal leaves prune sibling branches.  A disconnected graph
-# is canonicalized per component and reassembled with components sorted by
-# (n, m, bits), which is label-invariant, so equal canonical forms still mean
-# isomorphic.
+# the global lexicographic minimum over all n! orderings.  Two kinds of
+# automorphism prune sibling branches (McKay & Piperno, "Practical graph
+# isomorphism II", 2014): those discovered at key-equal leaves, and the
+# transposition (v w) of twins v, w, vertices whose neighborhoods agree apart
+# from each other, which fixes every individualized vertex and so leaves the
+# least key unchanged.  A disconnected graph is canonicalized per component
+# and reassembled with components sorted by (n, m, bits), which is
+# label-invariant, so equal canonical forms still mean isomorphic.
 # ---------------------------------------------------------------------------
 
 _AUT_CAP = 3000  # stop recording automorphisms past this many (pruning only weakens)
@@ -358,6 +361,9 @@ def _connected_canonical_order(g: Graph) -> list[int]:
         cand = [v for v in range(n) if colors[v] == target]
         tried: set[int] = set()
         for v in cand:
+            # a tried twin w: (v w) maps w's subtree onto v's
+            if any(adj[v] & ~(1 << w) == adj[w] & ~(1 << v) for w in tried):
+                continue
             if any(
                 sigma[v] in tried and all(sigma[u] == u for u in fixed)
                 for sigma in auts
@@ -381,8 +387,13 @@ def canonical_graph(g: Graph) -> Graph:
     if len(decomp) == 1:
         return _connected_canonical(decomp.parts[0][0])
     parts = [_connected_canonical(part) for part, _ in decomp]
-    parts.sort(key=lambda p: (p.n, p.m, _g6_bits_key(p._adj, range(p.n))))
+    parts.sort(key=part_sort_key)
     return union_all(parts)
+
+
+def part_sort_key(p: Graph) -> tuple[int, int, int]:
+    """Order of canonically labeled components in a canonical graph."""
+    return (p.n, p.m, _g6_bits_key(p._adj, range(p.n)))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -5,20 +5,22 @@ matching_number runs Edmonds' blossom algorithm (base-array contraction), so
 it is exact on arbitrary graphs, odd cycles included.  all_maximum_matchings
 enumerates every maximum matching by a decision search on the lowest live
 vertex, pruned by exact feasibility checks.  extremal_matching picks, among
-maximum matchings, one maximizing sum (x_u + x_v)^2; proper_ordering and
-edge_partition then fix the vertex orientation and the E1/E2 edge split that
-the rewiring lemmas consume.
+maximum matchings, one maximizing sum (x_u + x_v)^2, component by component,
+since both the matchings and the weight split over components;
+proper_ordering and edge_partition then fix the vertex orientation and the
+E1/E2 edge split that the rewiring lemmas consume.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, components, induced_subgraph
 
 # Matchings within this weight of the best are treated as tied, and vertex
 # orientations with |x_u - x_v| inside it fall back to index order; keeps the
@@ -188,8 +190,6 @@ def all_maximum_matchings(g: Graph, guard: int = ENUMERATION_GUARD) -> list[Matc
                 low = m & -m
                 verts.append(low.bit_length() - 1)
                 m ^= low
-            from .graphs import induced_subgraph
-
             cached = matching_number(induced_subgraph(g, verts))
             residual_cache[mask] = cached
         return cached
@@ -236,17 +236,30 @@ def matching_weight(m: Matching, x: np.ndarray) -> float:
 def extremal_matching(g: Graph, x: np.ndarray) -> Matching:
     """A maximum matching maximizing sum (x_u + x_v)^2.
 
-    Ties within WEIGHT_TIE_TOL of the best weight are broken by taking the
-    lexicographically least edge tuple, so the result is deterministic and
-    stable under eigensolver noise.
+    Maximum matchings and the weight both split over components, so each
+    component with edges gets its own matching and the results are joined.
+    Within a component, ties within WEIGHT_TIE_TOL of its best weight are
+    broken by taking the lexicographically least edge tuple.  The join is
+    then the least of all joins of tied matchings: on matchings of one size,
+    the lexicographic order of sorted edge tuples does not change when the
+    same disjoint edges are added to both.  The result is deterministic and
+    stable under eigensolver noise, and only the largest component counts
+    against the enumeration guard.
     """
     if g.m == 0:
         raise ValueError("graph has no edges; no matching to select")
-    candidates = all_maximum_matchings(g)
-    weights = [matching_weight(mm, x) for mm in candidates]
-    best = max(weights)
-    tied = [mm for mm, w in zip(candidates, weights) if w >= best - WEIGHT_TIE_TOL]
-    return min(tied, key=lambda mm: mm.edges)
+    edges: list[tuple[int, int]] = []
+    for part, verts in components(g):
+        if part.m == 0:
+            continue
+        x_part = x[list(verts)]
+        candidates = all_maximum_matchings(part)
+        weights = [matching_weight(mm, x_part) for mm in candidates]
+        best = max(weights)
+        tied = [mm for mm, w in zip(candidates, weights) if w >= best - WEIGHT_TIE_TOL]
+        chosen = min(tied, key=lambda mm: mm.edges)
+        edges.extend((verts[u], verts[v]) for u, v in chosen.edges)
+    return Matching(tuple(sorted(edges)))
 
 
 def proper_ordering(m: Matching, x: np.ndarray) -> OrderedMatching:
@@ -266,8 +279,6 @@ def proper_ordering(m: Matching, x: np.ndarray) -> OrderedMatching:
         else:
             v, u = (a, b) if a < b else (b, a)
         oriented.append((u, v))
-
-    import functools
 
     def cmp(p: tuple[int, int], q: tuple[int, int]) -> int:
         dv = x[p[1]] - x[q[1]]

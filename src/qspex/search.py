@@ -2,26 +2,33 @@
 q-maximization, and a rewiring hill climber.
 
 Graphs are generated without isolated vertices as multisets of connected
-pieces drawn from a catalog of connected graphs by edge count (grown by
-edge/leaf augmentation: every connected graph with k+1 edges arises from a
-connected graph with k edges by adding an edge between existing vertices or
-hanging a new leaf, since one can always delete a cycle edge or a leaf edge
-without disconnecting).  Matching number adds over pieces and the radius is
-the max over pieces, so class constraints transfer to the composition.
+pieces drawn from a catalog of connected graphs by edge count.  Matching
+number adds over pieces and the radius is the max over pieces, so class
+constraints transfer to the composition.
+
+The catalog grows by edge/leaf augmentation: every connected graph h with
+k+1 edges arises from a connected graph with k edges by adding an edge
+between existing vertices or hanging a new leaf, since h always has a
+deletable edge, one on a cycle or at a leaf.  Growth follows McKay's
+canonical augmentation ("Isomorph-free exhaustive generation", 1998) as far
+as a cheap filter takes it: h = p + e is canonicalized only if e has the
+largest sorted endpoint degrees among the deletable edges of h.  That key is
+an isomorphism invariant, so each h still comes from the parent h - e* for a
+maximizing e*; the few duplicates that pass are removed by canonical form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .family import extremal_beta1, predicted_extremal
 from .graphs import (
     Graph,
-    canonical_form,
+    _bits,
     canonical_graph,
-    components,
-    induced_subgraph,
     is_isomorphic,
+    part_sort_key,
     strip_isolated,
     to_graph6,
     union_all,
@@ -65,7 +72,8 @@ _catalog: dict[int, list[tuple[Graph, int]]] = {}
 def connected_catalog(k: int) -> list[tuple[Graph, int]]:
     """All connected graphs with exactly k edges (canonical labels, no
     isolated vertices), each with its matching number; sorted by canonical
-    form.  Cached and grown level by level."""
+    form.  Cached and grown level by level; only augmentations that pass the
+    canonical-deletion filter are canonicalized."""
     if k < 1:
         raise ValueError(f"edge count must be >= 1, got {k}")
     if 1 not in _catalog:
@@ -75,13 +83,10 @@ def connected_catalog(k: int) -> list[tuple[Graph, int]]:
     while level < k:
         seen: dict[str, Graph] = {}
         for g, _ in _catalog[level]:
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    if not g.has_edge(u, v):
-                        h = canonical_graph(g.add_edge((u, v)))
-                        seen.setdefault(to_graph6(h), h)
-                h = canonical_graph(g.add_vertices(1).add_edge((u, g.n)))
-                seen.setdefault(to_graph6(h), h)
+            for h, e in _augmentations(g):
+                if _deletion_is_canonical(h, e):
+                    h = canonical_graph(h)
+                    seen.setdefault(to_graph6(h), h)
         _catalog[level + 1] = [
             (seen[form], matching_number(seen[form])) for form in sorted(seen)
         ]
@@ -89,14 +94,61 @@ def connected_catalog(k: int) -> list[tuple[Graph, int]]:
     return _catalog[k]
 
 
-def _part_sort_key(p: Graph) -> tuple[int, int, int]:
-    # parts are canonically labeled, so raw adjacency bits are comparable
-    acc = 0
-    for j in range(1, p.n):
-        col = p.neighbors_mask(j)
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-    return (p.n, p.m, acc)
+def _augmentations(g: Graph) -> Iterator[tuple[Graph, tuple[int, int]]]:
+    """Every g + e with e joining two non-adjacent vertices or hanging a new
+    leaf, paired with e."""
+    leafed = g.add_vertices(1)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v):
+                yield g.add_edge((u, v)), (u, v)
+        yield leafed.add_edge((u, g.n)), (u, g.n)
+
+
+def _deletion_is_canonical(h: Graph, e: tuple[int, int]) -> bool:
+    """Whether e has the largest sorted endpoint degrees among the deletable
+    edges of h, those at a leaf or on a cycle.
+
+    e is deletable, since h - e is the connected parent.  The key is an
+    isomorphism invariant, so h is still reached from the parent h - e* for
+    any maximizing e*.  Only edges whose degree pair beats that of e are
+    tested for deletability.
+    """
+    deg = [h.degree(v) for v in range(h.n)]
+    a, b = sorted((deg[e[0]], deg[e[1]]))
+    above_a = above_b = 0
+    for v, d in enumerate(deg):
+        if d > a:
+            above_a |= 1 << v
+            if d > b:
+                above_b |= 1 << v
+    # a pair beats (a, b) with both ends above a, or one end at a, one above b
+    for u, d in enumerate(deg):
+        if d == a:
+            rivals = h.neighbors_mask(u) & above_b
+        elif d > a:
+            rivals = h.neighbors_mask(u) & above_a >> (u + 1) << (u + 1)
+        else:
+            continue
+        for v in _bits(rivals):
+            if d == 1 or not _is_bridge(h, u, v):
+                return False
+    return True
+
+
+def _is_bridge(h: Graph, u: int, v: int) -> bool:
+    """Whether removing the edge uv disconnects u from v."""
+    reach = 1 << u
+    frontier = h.neighbors_mask(u) & ~(1 << v)
+    while frontier:
+        if frontier >> v & 1:
+            return False
+        reach |= frontier
+        nxt = 0
+        for w in _bits(frontier):
+            nxt |= h.neighbors_mask(w)
+        frontier = nxt & ~reach
+    return True
 
 
 def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> list[Graph]:
@@ -126,7 +178,7 @@ def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> lis
             if query.admits(beta_sum):
                 # parts are canonical and get the same ordering canonical_graph
                 # uses, so the union is already canonically labeled
-                parts = sorted(chosen, key=_part_sort_key)
+                parts = sorted(chosen, key=part_sort_key)
                 out.append(union_all(parts))
             return
         if query.mode == "exact" and beta_sum + budget < query.beta:

@@ -223,7 +223,8 @@ def emit_report(
 ) -> str:
     """Serialize a report with a fixed field order and 12-significant-digit
     floats.  Timings are left out unless asked for, so reports from repeated
-    runs are byte-identical."""
+    runs are byte-identical; when asked for, they close the JSON object or
+    follow the CSV columns, one column per timing in key order."""
     if format == "json":
         if r.params is None:
             params = "null"
@@ -251,9 +252,11 @@ def emit_report(
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
+        timings = sorted(r.timings.items()) if include_timings else []
         writer.writerow(
             ["query", "m", "beta", "classes", "qmax", "verdict",
              "predicted", "params", "argmax", "lemma2_ok", "lemma3_ok"]
+            + [k for k, _ in timings]
         )
         if r.params is None:
             params = ""
@@ -270,6 +273,7 @@ def emit_report(
                 "" if r.lemma2_ok is None else str(r.lemma2_ok).lower(),
                 "" if r.lemma3_ok is None else str(r.lemma3_ok).lower(),
             ]
+            + [_fmt(v) for _, v in timings]
         )
         return buf.getvalue()
     raise ValueError(f"unknown report format {format!r}")

@@ -3,8 +3,11 @@
 Each oracle takes a code path disjoint from the library's: graph6 encoding by
 naive bit-list packing, matching number by exhaustive memoized edge-branching,
 spectral radius by power iteration (and, as a second route, by a dense
-eigenvalue-only solve), and class enumeration by labeled edge-set recursion.
-Agreement between routes is what the tests buy.
+eigenvalue-only solve), class enumeration by labeled edge-set recursion,
+canonical labeling by individualization-refinement without twin pruning, the
+connected catalog by canonicalizing every augmentation, and the extremal
+matching by a whole-graph scan.  Agreement between routes is what the tests
+buy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from qspex.graphs import Graph, induced_subgraph
+from qspex import graphs as _graphs
+from qspex.family import build_s
+from qspex.graphs import Graph, components, induced_subgraph, to_graph6, union_all
 
 
 def ref_graph6_encode(n: int, edges: set[tuple[int, int]]) -> str:
@@ -176,3 +181,142 @@ def graphs(draw, min_n: int = 0, max_n: int = 9) -> Graph:
 @st.composite
 def permutations_of(draw, n: int) -> list[int]:
     return draw(st.permutations(list(range(n))))
+
+
+def oracle_canonical_order(g: Graph) -> list[int]:
+    """Canonical order of a connected graph by individualization-refinement,
+    pruned only by automorphisms found at key-equal leaves (no twin pruning).
+    Visits every branch the library's search may skip, so it is exponential
+    in the number of twins; keep inputs small."""
+    n = g.n
+    adj = [g.neighbors_mask(v) for v in range(n)]
+    if n <= 1:
+        return list(range(n))
+    best_key: int | None = None
+    best_perm: list[int] | None = None
+    auts: list[list[int]] = []
+
+    def search(colors: tuple[int, ...], fixed: tuple[int, ...]) -> None:
+        nonlocal best_key, best_perm
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        target = next((c for c, k in enumerate(counts) if k > 1), -1)
+        if target < 0:
+            perm = [0] * n
+            for v, c in enumerate(colors):
+                perm[c] = v
+            key = _graphs._g6_bits_key(adj, perm)
+            if best_key is None or key < best_key:
+                best_key, best_perm = key, perm
+            elif key == best_key and len(auts) < _graphs._AUT_CAP:
+                sigma = [0] * n
+                for i in range(n):
+                    sigma[best_perm[i]] = perm[i]
+                inv = [0] * n
+                for i, s in enumerate(sigma):
+                    inv[s] = i
+                auts.extend((sigma, inv))
+            return
+        tried: set[int] = set()
+        for v in (v for v in range(n) if colors[v] == target):
+            if any(
+                sigma[v] in tried and all(sigma[u] == u for u in fixed)
+                for sigma in auts
+            ):
+                continue
+            tried.add(v)
+            refined = _graphs._refine(adj, _graphs._individualize(colors, v))
+            search(refined, fixed + (v,))
+
+    search(_graphs._refine(adj, (0,) * n), ())
+    assert best_perm is not None
+    return best_perm
+
+
+def oracle_canonical_graph(g: Graph) -> Graph:
+    """canonical_graph through oracle_canonical_order: components labeled
+    apart and joined in (n, m, bits) order."""
+    parts = [induced_subgraph(p, oracle_canonical_order(p)) for p, _ in components(g)]
+    parts.sort(key=lambda p: (p.n, p.m, _graphs._g6_bits_key(p._adj, range(p.n))))
+    return union_all(parts)
+
+
+@lru_cache(maxsize=None)
+def oracle_connected_catalog(k: int) -> tuple[tuple[Graph, int], ...]:
+    """Connected graphs with k edges, grown by canonicalizing every edge and
+    leaf augmentation of level k - 1 with oracle_canonical_graph, sorted by
+    graph6, each with its oracle matching number."""
+    if k == 1:
+        level = [oracle_canonical_graph(Graph.from_edges(2, [(0, 1)]))]
+    else:
+        seen: dict[str, Graph] = {}
+        for g, _ in oracle_connected_catalog(k - 1):
+            grown = [g.add_edge((u, v)) for u in range(g.n) for v in range(u + 1, g.n)
+                     if not g.has_edge(u, v)]
+            leafed = g.add_vertices(1)
+            grown += [leafed.add_edge((u, g.n)) for u in range(g.n)]
+            for h in grown:
+                h = oracle_canonical_graph(h)
+                seen.setdefault(to_graph6(h), h)
+        level = [seen[form] for form in sorted(seen)]
+    return tuple((g, oracle_matching_number(g)) for g in level)
+
+
+def oracle_extremal_matching(g: Graph, x: np.ndarray, tol: float = 1e-12) -> tuple:
+    """Edge tuple of the least maximum matching of the whole graph whose
+    weight sum (x_u + x_v)^2 lies within tol of the best, by subset scan."""
+    candidates = sorted(oracle_all_matchings_of_size(g, oracle_matching_number(g)))
+    weights = [sum((x[u] + x[v]) ** 2 for u, v in mm) for mm in candidates]
+    best = max(weights)
+    return min(mm for mm, w in zip(candidates, weights) if w >= best - tol)
+
+
+@st.composite
+def relabeled(draw, g: Graph) -> Graph:
+    return induced_subgraph(g, draw(st.permutations(list(range(g.n)))))
+
+
+@st.composite
+def star_like_graphs(draw) -> Graph:
+    """A star with pendant paths and a few chords between its leaves, plus
+    now and then a complete bipartite block: twin-heavy inputs, relabeled."""
+    leaves = draw(st.integers(1, 12))
+    paths = draw(st.lists(st.integers(1, 3), max_size=3))
+    n = 1 + leaves + sum(paths)
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    pos = leaves + 1
+    for length in paths:
+        edges.append((0, pos))
+        edges += [(pos + i, pos + i + 1) for i in range(length - 1)]
+        pos += length
+    pairs = [(u, v) for u in range(1, leaves + 1) for v in range(u + 1, leaves + 1)]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))
+    g = Graph.from_edges(n, edges)
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+        g = _graphs.disjoint_union(
+            g, Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        )
+    return draw(relabeled(g))
+
+
+@st.composite
+def family_graphs(draw) -> Graph:
+    """S(a, b, c) + d*K2, relabeled."""
+    a, b, c, d = (draw(st.integers(lo, hi)) for lo, hi in ((1, 9), (0, 1), (0, 4), (0, 3)))
+    k2 = Graph.from_edges(2, [(0, 1)])
+    return draw(relabeled(union_all([build_s(a, b, c)] + [k2] * d)))
+
+
+@st.composite
+def cubic_like_graphs(draw) -> Graph:
+    """A cycle plus a random perfect matching of chords: mostly 3-regular
+    and not vertex-transitive, so refinement alone splits no cell and the
+    individualized vertex decides the labeling."""
+    n = draw(st.sampled_from([8, 10, 12]))
+    order = draw(st.permutations(list(range(n))))
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    chords = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
+    return Graph.from_edges(n, cycle + chords)

@@ -132,6 +132,16 @@ class TestExtremal:
         code, _, err = run(capsys, "extremal", "--m", "2", "--beta", "3")
         assert code == 1 and "no graph" in err
 
+    def test_twin_heavy_class_is_fast(self, capsys):
+        # S(10,0,6): ten pendant twins and six twin triangle pairs; the
+        # labeling took about 54 s without twin pruning
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "extremal", "--m", "28", "--beta", "7")
+        assert time.perf_counter() - t0 < 5.0
+        lines = out.strip().split("\n")
+        assert code == 0 and lines[0] == "params a=10 b=0 c=6 d=0"
+        assert lines[1] == "graph6 " + to_graph6(canonical_graph(build_s(10, 0, 6)))
+
 
 class TestEnumerate:
     def test_exact_class(self, capsys):
@@ -197,6 +207,21 @@ class TestVerify:
     def test_timings_flag(self, capsys):
         _, out, _ = run(capsys, "verify", "--m", "4", "--beta", "2", "--timings")
         assert "timings" in json.loads(out)
+
+    def test_csv_timings_flag(self, capsys):
+        _, out, _ = run(capsys, "verify", "--m", "4", "--beta", "2", "--format", "csv",
+                        "--timings")
+        header, row = out.strip().split("\n")
+        assert header.endswith(",lemma3_ok,total_s") and float(row.split(",")[-1]) > 0
+
+    def test_all_k2_class_past_the_matching_guard(self, capsys):
+        # the only maximizer of (11, 11) is 11*K2, 22 vertices; choosing its
+        # extremal matching used to exceed the enumeration guard of 20
+        code, out, err = run(capsys, "verify", "--m", "11", "--beta", "11", "--guard", "11")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["verdict"] == "pass" and data["classes"] == 1
+        assert data["lemma2_ok"] is True and data["lemma3_ok"] is True
 
     def test_workers_flag_is_gone(self, capsys):
         code, out, err = run(capsys, "verify", "--m", "5", "--beta", "2", "--workers", "2")

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -20,7 +21,14 @@ from qspex.graphs import (
     union_all,
 )
 
-from helpers import graphs, ref_graph6_encode
+from helpers import (
+    cubic_like_graphs,
+    family_graphs,
+    graphs,
+    oracle_canonical_graph,
+    ref_graph6_encode,
+    star_like_graphs,
+)
 
 K2 = Graph.from_edges(2, [(0, 1)])
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -207,3 +215,21 @@ class TestCanonical:
         b = union_all([K2, K3])
         assert canonical_form(a) == canonical_form(b)
         assert canonical_graph(a) == canonical_graph(b)
+
+    @given(
+        st.one_of(graphs(max_n=9), star_like_graphs(), family_graphs(), cubic_like_graphs())
+    )
+    def test_twin_pruning_keeps_the_canonical_graph(self, g):
+        # the search without twin pruning visits a superset of leaves, and
+        # the skipped ones repeat a visited key
+        assert canonical_graph(g) == oracle_canonical_graph(g)
+
+    def test_star_k1_40_is_fast(self):
+        # every leaf of a star is a twin of every other; without twin
+        # pruning this took about 5 s
+        star = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
+        t0 = time.perf_counter()
+        cg = canonical_graph(star)
+        assert time.perf_counter() - t0 < 5.0
+        assert cg.degree(0) == 40 or cg.degree(40) == 40
+        assert cg.degree_sequence() == star.degree_sequence()

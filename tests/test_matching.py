@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from qspex.family import build_h, build_s
-from qspex.graphs import Graph, disjoint_union
+from qspex.graphs import Graph, disjoint_union, union_all
 from qspex.matching import (
     ENUMERATION_GUARD,
     Matching,
@@ -21,6 +21,7 @@ from qspex.spectral import q_radius
 from helpers import (
     graphs,
     oracle_all_matchings_of_size,
+    oracle_extremal_matching,
     oracle_matching_number,
     random_graph,
 )
@@ -177,6 +178,29 @@ class TestExtremalSelection:
         weights = [matching_weight(m, s.x) for m in all_maximum_matchings(g)]
         assert matching_weight(best, s.x) == pytest.approx(max(weights), abs=1e-9)
         assert best.size == matching_number(g)
+
+    @given(graphs(min_n=1, max_n=5), graphs(min_n=1, max_n=5), st.data())
+    def test_per_component_choice_equals_whole_graph_rule(self, g, h, data):
+        # integer-valued weights give exact ties across components
+        u = disjoint_union(g, h)
+        if u.m == 0:
+            return
+        x = np.array(data.draw(st.lists(st.integers(0, 3), min_size=u.n, max_size=u.n)), float)
+        assert extremal_matching(u, x).edges == oracle_extremal_matching(u, x)
+        x = q_radius(u).x
+        assert extremal_matching(u, x).edges == oracle_extremal_matching(u, x)
+
+    def test_components_each_count_against_the_guard(self):
+        # 11*K2 has 22 vertices, past the enumeration guard of 20, but each
+        # component has 2
+        g = union_all([Graph.from_edges(2, [(0, 1)])] * 11)
+        m = extremal_matching(g, q_radius(g).x)
+        assert m.edges == tuple((2 * i, 2 * i + 1) for i in range(11))
+        two_petersens = disjoint_union(PETERSEN, PETERSEN)
+        m = extremal_matching(two_petersens, np.ones(20))
+        assert m.size == 10
+        with pytest.raises(ValueError, match="guard"):
+            all_maximum_matchings(disjoint_union(two_petersens, cycle(3)))
 
 
 class TestProperOrdering:

@@ -26,7 +26,7 @@ from qspex.search import (
 )
 from qspex.spectral import q_radius
 
-from helpers import oracle_class_forms, random_graph
+from helpers import oracle_class_forms, oracle_connected_catalog, random_graph
 
 # connected graphs by edge count, no isolated vertices (k = 1..10)
 CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322]
@@ -63,6 +63,31 @@ class TestConnectedCatalog:
     def test_k1(self):
         [(g, beta)] = connected_catalog(1)
         assert to_graph6(g) == "A_" and beta == 1
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_equals_canonicalize_every_augmentation(self, k):
+        # same graphs, labels, matching numbers and order as the growth that
+        # canonicalizes every augmentation with the unpruned labeling
+        assert connected_catalog(k) == list(oracle_connected_catalog(k))
+
+    def test_deletion_filter_cuts_canonicalizations(self, monkeypatch):
+        monkeypatch.setattr(search, "_catalog", {})
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return canonical_graph(g)
+
+        monkeypatch.setattr(search, "canonical_graph", counted)
+        levels = [len(connected_catalog(k)) for k in range(1, 9)]
+        assert levels == CONNECTED_COUNTS[:8]
+        augmentations = sum(
+            g.n * (g.n - 1) // 2 - g.m + g.n
+            for k in range(1, 8) for g, _ in connected_catalog(k)
+        )
+        # one call for the K2 seed, then about a quarter of the augmentations
+        assert len(calls) - 1 < 0.3 * augmentations
+        assert len(calls) - 1 >= sum(levels[1:])
 
 
 class TestEnumerateGraphs:

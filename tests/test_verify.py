@@ -184,6 +184,21 @@ class TestEmitReport:
         data = json.loads(text)
         assert "timings" in data and data["timings"]["total_s"] > 0
 
+    def test_csv_timings_opt_in(self, report):
+        plain = emit_report(report, format="csv")
+        text = emit_report(report, format="csv", include_timings=True)
+        header, row = text.strip().split("\n")
+        plain_header, plain_row = plain.strip().split("\n")
+        assert header == plain_header + ",total_s"
+        assert row.rsplit(",", 1)[0] == plain_row
+        assert float(row.rsplit(",", 1)[1]) == pytest.approx(report.timings["total_s"], rel=1e-11)
+
+    def test_every_format_carries_the_timings(self, report):
+        data = json.loads(emit_report(report, include_timings=True))
+        header, row = emit_report(report, format="csv", include_timings=True).strip().split("\n")
+        csv_timings = dict(zip(header.split(",")[11:], map(float, row.split(",")[11:])))
+        assert csv_timings == pytest.approx(data["timings"], rel=1e-11)
+
     def test_csv_shape(self, report):
         text = emit_report(report, format="csv")
         header, row = text.strip().split("\n")
