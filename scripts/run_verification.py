@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the extremality verification over an (m, beta) grid.
 
-Runs the brute-force check for every feasible query in the requested ranges
-and prints one report per query (JSON blocks or CSV rows).  The CSV variant
-emits a single header followed by one row per query, so the output loads
-straight into a dataframe.
+Runs the brute-force check for every feasible query in the requested ranges,
+every matching number through the same verify_theorem1 route, and prints one
+report per query (JSON blocks or CSV rows).  The CSV variant emits a single
+header followed by one row per query, so the output loads straight into a
+dataframe.
 
 Examples:
     python scripts/run_verification.py --m-max 9
@@ -17,13 +18,13 @@ import sys
 import time
 
 from qspex.search import DEFAULT_GUARD
-from qspex.verify import emit_report, verify_beta1, verify_theorem1
+from qspex.verify import emit_report, verify_theorem1
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--beta", type=int, nargs="+", default=[2, 3],
-                        help="matching numbers to sweep (default: 2 3)")
+    parser.add_argument("--beta", type=int, nargs="+", default=None,
+                        help="matching numbers to sweep (default: 1 .. m-max)")
     parser.add_argument("--m-min", type=int, default=None,
                         help="smallest edge count (default: each beta)")
     parser.add_argument("--m-max", type=int, default=9,
@@ -41,13 +42,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     failures = 0
     first = True
-    for beta in args.beta:
+    for beta in args.beta or range(1, args.m_max + 1):
         m_lo = beta if args.m_min is None else max(args.m_min, beta)
         for m in range(m_lo, args.m_max + 1):
-            if beta == 1:
-                report = verify_beta1(m, guard=args.guard)
-            else:
-                report = verify_theorem1(m, beta, guard=args.guard)
+            report = verify_theorem1(m, beta, guard=args.guard)
             text = emit_report(report, args.format, include_timings=args.timings)
             if args.format == "csv" and not first:
                 text = text.split("\n", 1)[1]  # keep a single header

@@ -44,9 +44,9 @@ from .family import (
     FamilyParams,
     build_h,
     build_s,
-    extremal_beta1,
     extremal_params,
     predicted_extremal,
+    predicted_maximizers,
 )
 from .transform import (
     ROTATION_MARGIN,

@@ -15,13 +15,13 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .family import extremal_beta1, extremal_params, predicted_extremal
+from .family import extremal_params, predicted_maximizers
 from .graphs import Graph6Error, canonical_graph, from_graph6, to_graph6
 from .search import DEFAULT_GUARD, EnumerationQuery, enumerate_graphs, hill_climb
 from .spectral import RESIDUAL_TOL, q_radius
 from .matching import matching_number
 from .transform import kelmans_swap, pendant_collapse, rotate
-from .verify import emit_report, verify_beta1, verify_theorem1
+from .verify import _fmt, emit_report, verify_theorem1
 
 MAX_GUARD = 12
 
@@ -47,10 +47,6 @@ class CliConfig:
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         return self
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
@@ -132,22 +128,13 @@ def _cmd_beta(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]
 
 
 def _cmd_extremal(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
-    if args.beta == 1:
-        q, graphs = extremal_beta1(args.m)
-        lines = [f"graph6 {to_graph6(canonical_graph(g))}" for g in graphs]
-        lines.append(f"q {_fmt(q)}")
-        return lines, 0
-    p = extremal_params(args.m, args.beta)
-    g = canonical_graph(predicted_extremal(args.m, args.beta))
-    q = q_radius(g).q
-    return (
-        [
-            f"params a={p.a} b={p.b} c={p.c} d={p.d}",
-            f"graph6 {to_graph6(g)}",
-            f"q {_fmt(q)}",
-        ],
-        0,
-    )
+    graphs = [canonical_graph(g) for g in predicted_maximizers(args.m, args.beta)]
+    lines = [f"graph6 {to_graph6(g)}" for g in graphs]
+    lines.append(f"q {_fmt(q_radius(graphs[0]).q)}")
+    if args.beta >= 2:
+        p = extremal_params(args.m, args.beta)
+        lines.insert(0, f"params a={p.a} b={p.b} c={p.c} d={p.d}")
+    return lines, 0
 
 
 def _cmd_enumerate(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
@@ -157,10 +144,7 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str],
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
-    if args.beta == 1:
-        report = verify_beta1(args.m, guard=cfg.guard)
-    else:
-        report = verify_theorem1(args.m, args.beta, guard=cfg.guard)
+    report = verify_theorem1(args.m, args.beta, guard=cfg.guard)
     text = emit_report(report, cfg.format, include_timings=args.timings)
     code = 0 if report.verdict == "pass" else 1
     return text.splitlines(), code

@@ -4,10 +4,12 @@ S(a, b, c) is the graph on 1 + a + 2b + 2c vertices built from a center v1
 carrying a pendant edges, b pendant paths of length two, and c pendant
 triangles; it has m = a + 2b + 3c edges and matching number b + c + 1 (for
 a >= 1).  The conjectured maximizers of q among graphs with m edges and
-matching number beta are S(a, b, c) disjoint-union d extra independent edges,
-with (a, b, c, d) determined by the size regime; predicted_extremal builds
-exactly that graph.  Four small fixed graphs H1..H4 appear as intermediate
-rewiring targets and in tests.
+matching number beta >= 2 are S(a, b, c) disjoint-union d extra independent
+edges, with (a, b, c, d) determined by the size regime; predicted_extremal
+builds exactly that graph.  For beta = 1 the maximizers are the star, and at
+m = 3 also the triangle.  predicted_maximizers answers for every beta >= 1,
+so callers need not treat beta = 1 apart.  Four small fixed graphs H1..H4
+appear as intermediate rewiring targets and in tests.
 """
 
 from __future__ import annotations
@@ -114,16 +116,19 @@ def predicted_extremal(m: int, beta: int) -> Graph:
     return union_all([build_s(p.a, p.b, p.c)] + [k2] * p.d)
 
 
-def extremal_beta1(m: int) -> tuple[float, list[Graph]]:
-    """The beta = 1 case, which the parameter formulas above do not cover:
-    the maximizers are stars (and for m = 3, also the triangle).
+def predicted_maximizers(m: int, beta: int) -> list[Graph]:
+    """Every graph the theorem predicts to maximize q among graphs with m
+    edges and matching number beta >= 1.
 
-    Returns the extremal radius and the list of extremal graphs.
+    For beta >= 2 that is S(a, b, c) + d*K2 alone.  For beta = 1, where the
+    parameter formulas do not apply, it is the star S(m, 0, 0), and at m = 3
+    also the triangle, which has the same radius 4.
     """
-    if m < 1:
-        raise ValueError(f"need at least one edge, got m={m}")
-    star = Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)])
-    if m == 3:
-        triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        return 4.0, [star, triangle]
-    return float(m + 1), [star]
+    if beta < 1:
+        raise ValueError(f"matching number must be >= 1, got {beta}")
+    if m < beta:
+        raise ValueError(f"no graph has {m} edges and matching number {beta}")
+    if beta >= 2:
+        return [predicted_extremal(m, beta)]
+    triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    return [build_s(m, 0, 0)] + ([triangle] if m == 3 else [])

@@ -54,7 +54,9 @@ class Graph:
         return tuple(_bits(self._adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self._adj[u] >> v & 1)
+        """False for a loop and for any vertex outside 0..n-1."""
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and u != v and bool(self._adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -82,7 +84,7 @@ class Graph:
 
     def remove_edge(self, e: tuple[int, int]) -> "Graph":
         u, v = e
-        if not (0 <= u < self.n and 0 <= v < self.n) or not self.has_edge(u, v):
+        if not self.has_edge(u, v):
             raise ValueError(f"edge not in graph: {e!r}")
         adj = list(self._adj)
         adj[u] &= ~(1 << v)
@@ -223,7 +225,8 @@ def components(g: Graph) -> ComponentDecomposition:
             comp |= frontier
         seen |= comp
         verts = tuple(_bits(comp))
-        parts.append((induced_subgraph(g, verts), verts))
+        # a connected g is its own part; Graph is immutable, so no copy
+        parts.append((g if len(verts) == g.n else induced_subgraph(g, verts), verts))
     return ComponentDecomposition(tuple(parts))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .family import extremal_beta1, predicted_extremal
+from .family import predicted_maximizers
 from .graphs import (
     Graph,
     _bits,
@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .matching import matching_number
 from .spectral import Q_MARGIN, q_radii, q_radius
-from .transform import ROTATION_MARGIN, kelmans_swap, rotate
+from .transform import ROTATION_MARGIN
 
 DEFAULT_GUARD = 10  # enumeration refuses edge counts beyond this unless raised
 ARGMAX_BAND = 1e-8  # graphs within this of the max radius are co-extremal
@@ -250,10 +250,6 @@ class ClimbTrace:
     converged_to_prediction: bool
 
 
-def _class_beta_ok(g: Graph, query: EnumerationQuery) -> bool:
-    return query.admits(matching_number(g))
-
-
 def hill_climb(
     start: Graph, query: EnumerationQuery, max_steps: int = 64
 ) -> ClimbTrace:
@@ -261,19 +257,21 @@ def hill_climb(
     rotations and gain-predicting swaps.
 
     Each step scans every rotation whose eigenvector sums justify it and every
-    swap whose predicted gain is positive, keeps those that stay in the class
-    and raise q by more than the solver margin, and solves their radii in one
-    batch.  Among the kept moves whose q_after lies within Q_MARGIN of the
-    largest, it applies the least (move, detail), so exact ties between
-    symmetric moves are not decided by solver rounding.  Stops at a local
-    maximum or after max_steps; the trace records whether the endpoint is
-    isomorphic to the predicted extremal graph for the class.
+    swap whose predicted gain is positive, keeps the rewired graphs that stay
+    in the class, and solves their radii in one batch.  Among the moves that
+    raise q by more than the solver margin and whose q_after lies within
+    Q_MARGIN of the largest, it applies the least (move, detail), so exact
+    ties between symmetric moves are not decided by solver rounding.  The
+    step records the graph and radius from that batch; nothing is solved
+    again.  Stops at a local maximum or after max_steps; the trace records
+    whether the endpoint is isomorphic to one of the predicted maximizers
+    for the class.
     """
     if start.m != query.m:
         raise ValueError(
             f"start graph has {start.m} edges but the class requires {query.m}"
         )
-    if not _class_beta_ok(start, query):
+    if not query.admits(matching_number(start)):
         raise ValueError("start graph is outside the query class")
 
     current = start
@@ -281,8 +279,7 @@ def hill_climb(
     for _ in range(max_steps):
         spectrum = q_radius(current)
         x = spectrum.x
-        moves: list[tuple[str, str, tuple]] = []  # (move, detail, apply_args)
-        candidates: list[Graph] = []
+        moves: list[tuple[str, str, Graph]] = []  # (move, detail, rewired graph)
 
         edges = current.edges()
         non_edges = [
@@ -299,10 +296,8 @@ def hill_climb(
                 if x[f[0]] + x[f[1]] < removed_sum - 1e-12:
                     continue
                 h = current.remove_edge(e).add_edge(f)
-                if not _class_beta_ok(h, query):
-                    continue
-                moves.append(("rotate", f"-{e} +{f}", ("rotate", e, f)))
-                candidates.append(h)
+                if query.admits(matching_number(h)):
+                    moves.append(("rotate", f"-{e} +{f}", h))
         for a in range(len(edges)):
             for b in range(a + 1, len(edges)):
                 e1, e2 = edges[a], edges[b]
@@ -322,52 +317,30 @@ def hill_climb(
                         continue
                     if not (x[vj] - x[ui] > 0.0 and x[vi] - x[uj] > 0.0):
                         continue
-                    h = (
-                        current.remove_edge(e1)
-                        .remove_edge(e2)
-                        .add_edge((min(ui, uj), max(ui, uj)))
-                        .add_edge((min(vi, vj), max(vi, vj)))
-                    )
-                    if not _class_beta_ok(h, query):
-                        continue
-                    detail = f"-{e1} -{e2} +{(min(ui, uj), max(ui, uj))} +{(min(vi, vj), max(vi, vj))}"
-                    moves.append(("kelmans_swap", detail, ("swap", ei, ej)))
-                    candidates.append(h)
+                    fu = (min(ui, uj), max(ui, uj))
+                    fv = (min(vi, vj), max(vi, vj))
+                    h = current.remove_edge(e1).remove_edge(e2).add_edge(fu).add_edge(fv)
+                    if query.admits(matching_number(h)):
+                        moves.append(("kelmans_swap", f"-{e1} -{e2} +{fu} +{fv}", h))
 
         gains = [
             (q_after, move)
-            for q_after, move in zip(q_radii(candidates), moves)
+            for q_after, move in zip(q_radii([h for _, _, h in moves]), moves)
             if q_after > spectrum.q + ROTATION_MARGIN
         ]
         if not gains:
             break
         top = max(q_after for q_after, _ in gains)
-        _, _, apply_args = min(
-            (move for q_after, move in gains if q_after >= top - Q_MARGIN),
-            key=lambda move: move[:2],
+        q_after, (move, detail, current) = min(
+            (gain for gain in gains if gain[0] >= top - Q_MARGIN),
+            key=lambda gain: gain[1][:2],
         )
-        if apply_args[0] == "rotate":
-            result = rotate(current, x, apply_args[1], apply_args[2])
-        else:
-            result = kelmans_swap(current, apply_args[1], apply_args[2])
-        current = result.graph
-        steps.append(
-            ClimbStep(
-                move=result.move,
-                detail=result.detail,
-                q_before=result.q_before,
-                q_after=result.q_after,
-                graph6=to_graph6(current),
-            )
-        )
+        steps.append(ClimbStep(move, detail, spectrum.q, q_after, to_graph6(current)))
 
     trimmed = strip_isolated(current)
-    if query.beta >= 2:
-        target = predicted_extremal(query.m, query.beta)
-        converged = is_isomorphic(trimmed, target)
-    else:
-        _, targets = extremal_beta1(query.m)
-        converged = any(is_isomorphic(trimmed, t) for t in targets)
+    converged = any(
+        is_isomorphic(trimmed, t) for t in predicted_maximizers(query.m, query.beta)
+    )
     return ClimbTrace(
         start=start, end=current, steps=tuple(steps), converged_to_prediction=converged
     )

@@ -2,9 +2,11 @@
 eigenvector checks that the rewiring argument leans on.
 
 verify_theorem1(m, beta) enumerates the whole class (exact matching number),
-maximizes q by brute force, and compares winner and value against the
-predicted family member — two independent routes to the same graph.  The two
-eigenvector lemmas are then checked on every maximizer:
+maximizes q by brute force, and compares winners and value against
+family.predicted_maximizers — two independent routes to the same graphs.
+One route serves every beta >= 1; for beta = 1 the prediction is the star,
+plus the triangle at m = 3, and the report carries no family parameters.
+The two eigenvector lemmas are then checked on every maximizer:
 
   lemma 2:  entries of vertices missed by the extremal matching never exceed
             the smallest entry among matched vertices;
@@ -24,8 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .family import FamilyParams, extremal_beta1, extremal_params, predicted_extremal
-from .graphs import Graph, canonical_graph, induced_subgraph, is_isomorphic, to_graph6
+from .family import FamilyParams, extremal_params, predicted_maximizers
+from .graphs import Graph, canonical_graph, induced_subgraph, to_graph6
 from .matching import Matching, OrderedMatching, extremal_matching, proper_ordering
 from .search import DEFAULT_GUARD, EnumerationQuery, enumerate_graphs, max_radius_over
 from .spectral import SpectralData, q_radius
@@ -42,7 +44,7 @@ class VerificationReport:
     classes: int
     qmax: Optional[float]
     argmax: tuple[str, ...]  # canonical graph6
-    predicted: tuple[str, ...]  # canonical graph6 (singleton for beta >= 2)
+    predicted: tuple[str, ...]  # canonical graph6, sorted (singleton for beta >= 2)
     params: Optional[FamilyParams]
     verdict: str  # "pass" | "fail" | "infeasible"
     lemma2_ok: Optional[bool]
@@ -138,14 +140,17 @@ def verify_theorem1(
     beta: int,
     guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
-    """Brute-force the class (exact matching number beta >= 2) and compare
-    with the predicted extremal graph; lemma checks run on each maximizer.
+    """Brute-force the class (exact matching number beta >= 1) and compare
+    with the predicted maximizers; lemma checks run on each maximizer.
 
-    An infeasible query (m < beta) yields a report with verdict "infeasible"
-    rather than an exception, so batch drivers can keep going.
+    The verdict passes when the argmax is exactly the predicted set (both
+    canonical graph6, sorted) and its radius is within VALUE_TOL of the
+    prediction's.  An infeasible query (m < beta) yields a report with
+    verdict "infeasible" rather than an exception, so batch drivers can keep
+    going.
     """
-    if beta < 2:
-        raise ValueError(f"beta must be >= 2 here, got {beta} (beta=1 has its own route)")
+    if beta < 1:
+        raise ValueError(f"matching number must be >= 1, got {beta}")
     if m < beta:
         return VerificationReport(
             m=m, beta=beta, mode="exact", classes=0, qmax=None, argmax=(),
@@ -157,48 +162,27 @@ def verify_theorem1(
     graphs = enumerate_graphs(query, guard=guard)
     classes = len(graphs)
     qmax, argmax = max_radius_over(graphs)
-    params = extremal_params(m, beta)
-    predicted = canonical_graph(predicted_extremal(m, beta))
-    q_predicted = q_radius(predicted).q
-    verdict = (
-        "pass"
-        if len(argmax) == 1
-        and is_isomorphic(argmax[0], predicted)
-        and abs(qmax - q_predicted) <= VALUE_TOL
-        else "fail"
+    got = tuple(to_graph6(g) for g in argmax)  # canonical, in graph6 order
+    predicted = sorted(
+        (canonical_graph(g) for g in predicted_maximizers(m, beta)), key=to_graph6
     )
+    expected = tuple(to_graph6(g) for g in predicted)
+    q_predicted = q_radius(predicted[0]).q
+    verdict = "pass" if got == expected and abs(qmax - q_predicted) <= VALUE_TOL else "fail"
     lemma2_ok, lemma3_ok = _lemma_status(argmax, beta)
     total = time.perf_counter() - t0
     return VerificationReport(
         m=m, beta=beta, mode="exact", classes=classes, qmax=qmax,
-        argmax=tuple(to_graph6(g) for g in argmax),
-        predicted=(to_graph6(predicted),),
-        params=params, verdict=verdict,
-        lemma2_ok=lemma2_ok, lemma3_ok=lemma3_ok,
+        argmax=got, predicted=expected,
+        params=extremal_params(m, beta) if beta >= 2 else None,
+        verdict=verdict, lemma2_ok=lemma2_ok, lemma3_ok=lemma3_ok,
         timings={"total_s": total},
     )
 
 
 def verify_beta1(m: int, guard: int = DEFAULT_GUARD) -> VerificationReport:
-    """The matching-number-one case: maximizers are stars, plus the triangle
-    at m = 3.  Same report shape; no position-pair lemma to check."""
-    t0 = time.perf_counter()
-    query = EnumerationQuery(m, 1, "exact")
-    graphs = enumerate_graphs(query, guard=guard)
-    classes = len(graphs)
-    qmax, argmax = max_radius_over(graphs)
-    q_expected, predicted_graphs = extremal_beta1(m)
-    predicted = sorted(to_graph6(canonical_graph(g)) for g in predicted_graphs)
-    got = sorted(to_graph6(g) for g in argmax)
-    verdict = "pass" if got == predicted and abs(qmax - q_expected) <= VALUE_TOL else "fail"
-    lemma2_ok, _ = _lemma_status(argmax, 1)
-    total = time.perf_counter() - t0
-    return VerificationReport(
-        m=m, beta=1, mode="exact", classes=classes, qmax=qmax,
-        argmax=tuple(got), predicted=tuple(predicted), params=None,
-        verdict=verdict, lemma2_ok=lemma2_ok, lemma3_ok=None,
-        timings={"total_s": total},
-    )
+    """verify_theorem1(m, 1, guard), kept for callers that use this name."""
+    return verify_theorem1(m, 1, guard)
 
 
 # ---------------------------------------------------------------------------

@@ -260,3 +260,21 @@ def test_criterion_11_climber_convergence():
                 failures.append(((m, beta), [s.detail for s in fixed.steps]))
     record_and_assert(11, "C5 climbs to S(2,0,1); predicted graphs are fixed points",
                       failures, budget=60.0, elapsed=time.perf_counter() - t0)
+
+
+# OEIS A000664: graphs with m edges and no isolated vertices, m = 1..10
+A000664 = (1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613)
+
+
+def test_criterion_12_every_beta():
+    t0 = time.perf_counter()
+    failures = []
+    for m in range(1, 11):
+        reports = [verify_theorem1(m, beta) for beta in range(1, m + 1)]
+        failures += [(m, r.beta, r.verdict) for r in reports if r.verdict != "pass"]
+        classes = sum(r.classes for r in reports)
+        if classes != A000664[m - 1]:
+            failures.append((m, "classes", classes, A000664[m - 1]))
+    record_and_assert(12, "verify_theorem1 passes for every 1 <= beta <= m <= 10;"
+                          " class sizes add up to A000664",
+                      failures, budget=120.0, elapsed=time.perf_counter() - t0)

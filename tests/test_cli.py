@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import random
@@ -5,12 +6,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspex.cli import main
 from qspex.family import build_s
 from qspex.graphs import Graph, canonical_graph, components, from_graph6, to_graph6
 
-from helpers import ref_q_matrix
+from helpers import graphs, ref_q_matrix
 
 C5 = "Dhc"
 P4 = "Ch"
@@ -294,6 +296,71 @@ class TestRewireCommands:
     def test_malformed_pair(self, capsys):
         code, _, err = run(capsys, "rotate", P4, "--remove", "2;3", "--add", "1,3")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("swap", P4, "--first", "99,0", "--second", "1,2"),
+            ("rotate", P4, "--remove=-4,-3", "--add", "1,2"),
+        ],
+    )
+    def test_out_of_range_edge_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "edge not in graph" in err and "Traceback" not in err
+
+
+@st.composite
+def cli_argvs(draw, command):
+    """An argv for one subcommand: small graph6 input (valid or not) and
+    arbitrary integers, negative ones included, where the command takes
+    vertices or sizes.  Vertex pairs are often edges of the graph, so the
+    rewiring commands also get past their edge checks."""
+    g = draw(graphs(min_n=1, max_n=7))
+    g6 = draw(
+        st.one_of(
+            st.just(to_graph6(g)),
+            st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=6)
+            .filter(lambda t: t != "-"),  # "-" means read stdin
+        )
+    )
+    vertex = st.one_of(st.integers(0, 6), st.integers(-70, 70))
+    pair = st.one_of(
+        st.sampled_from(g.edges()) if g.m else st.nothing(), st.tuples(vertex, vertex)
+    ).map("{0[0]},{0[1]}".format)
+    m = str(draw(st.one_of(st.just(g.m), st.integers(-2, 7))))
+    beta = str(draw(st.integers(-1, 4)))
+    guard = str(draw(st.integers(-1, 7)))
+    if command in ("q", "beta"):
+        return [command, g6]
+    if command == "extremal":
+        return [command, f"--m={m}", f"--beta={beta}"]
+    if command in ("enumerate", "verify"):
+        return [command, f"--m={m}", f"--beta={beta}", f"--guard={guard}"]
+    if command == "climb":
+        mode = ["--at-least"] if draw(st.booleans()) else []
+        return [command, "--start", g6, f"--m={m}", f"--beta={beta}"] + mode
+    if command == "rotate":
+        return [command, g6, f"--remove={draw(pair)}", f"--add={draw(pair)}"]
+    if command == "swap":
+        return [command, g6, f"--first={draw(pair)}", f"--second={draw(pair)}"]
+    return [command, g6, f"--center={draw(vertex)}", f"--edges={draw(pair)};{draw(pair)}"]
+
+
+class TestRobustness:
+    @pytest.mark.parametrize(
+        "command",
+        ["q", "beta", "extremal", "enumerate", "verify", "climb", "rotate", "swap", "collapse"],
+    )
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_exit_code_never_a_traceback(self, command, data):
+        argv = data.draw(cli_argvs(command))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPlumbing:

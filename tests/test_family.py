@@ -7,9 +7,9 @@ from qspex.family import (
     FamilyParams,
     build_h,
     build_s,
-    extremal_beta1,
     extremal_params,
     predicted_extremal,
+    predicted_maximizers,
 )
 from qspex.graphs import Graph, canonical_form, components, is_isomorphic
 from qspex.matching import matching_number
@@ -165,20 +165,36 @@ class TestPredictedExtremal:
 class TestBeta1:
     def test_stars_generic(self):
         for m in (1, 2, 4, 5, 9):
-            q, gs = extremal_beta1(m)
-            assert q == pytest.approx(m + 1, abs=1e-12)
+            gs = predicted_maximizers(m, 1)
             assert len(gs) == 1
-            assert q_radius(gs[0]).q == pytest.approx(q, abs=1e-9)
+            assert is_isomorphic(gs[0], build_s(m, 0, 0))
+            assert q_radius(gs[0]).q == pytest.approx(m + 1, abs=1e-9)
             assert matching_number(gs[0]) == 1
 
     def test_m3_includes_triangle(self):
-        q, gs = extremal_beta1(3)
-        assert q == 4.0
+        gs = predicted_maximizers(3, 1)
         forms = {canonical_form(g) for g in gs}
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         assert forms == {canonical_form(star), canonical_form(triangle)}
+        assert [q_radius(g).q for g in gs] == pytest.approx([4.0, 4.0], abs=1e-9)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            extremal_beta1(0)
+        with pytest.raises(ValueError, match="no graph"):
+            predicted_maximizers(0, 1)
+
+
+class TestPredictedMaximizers:
+    def test_beta_two_up_is_the_family_graph(self):
+        for m in range(2, 12):
+            for beta in range(2, m + 1):
+                assert predicted_maximizers(m, beta) == [predicted_extremal(m, beta)]
+
+    @pytest.mark.parametrize("beta", [0, -1])
+    def test_rejects_beta_below_one(self, beta):
+        with pytest.raises(ValueError, match="matching number must be >= 1"):
+            predicted_maximizers(5, beta)
+
+    def test_rejects_infeasible(self):
+        with pytest.raises(ValueError, match="no graph"):
+            predicted_maximizers(2, 3)

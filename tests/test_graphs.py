@@ -67,6 +67,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="not in graph"):
             g.remove_edge((0, 2))
 
+    @pytest.mark.parametrize("u, v", [(99, 0), (0, 99), (-1, 2), (2, -1), (-4, -3), (3, 3)])
+    def test_has_edge_outside_the_vertex_range(self, u, v):
+        # P4 has the edge (2, 3); a negative index must not wrap onto it
+        assert not P4.has_edge(u, v)
+        with pytest.raises(ValueError, match="not in graph"):
+            P4.remove_edge((u, v))
+
     def test_degrees_and_neighbors(self):
         assert P4.degree(0) == 1 and P4.degree(1) == 2
         assert P4.neighbors(1) == (0, 2)
@@ -139,6 +146,11 @@ class TestComponents:
         g = disjoint_union(K2, K3)
         assert g.n == 5 and g.edges() == [(0, 1), (2, 3), (2, 4), (3, 4)]
         assert union_all([]).n == 0
+
+    def test_connected_graph_is_its_own_part(self):
+        decomp = components(P4)
+        assert len(decomp) == 1 and decomp.parts[0][0] is P4
+        assert decomp.parts[0][1] == (0, 1, 2, 3)
 
     @given(graphs(max_n=9))
     def test_component_sizes_partition_vertices(self, g):

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspex.family import build_s, extremal_beta1, predicted_extremal
+from qspex.family import build_s, predicted_extremal, predicted_maximizers
 from qspex.graphs import (
     Graph,
     canonical_form,
@@ -217,8 +217,8 @@ class TestHillClimb:
         assert trace.converged_to_prediction
 
     def test_beta1_star_is_fixed(self):
-        _, gs = extremal_beta1(4)
-        trace = hill_climb(gs[0], EnumerationQuery(4, 1, "exact"))
+        (star,) = predicted_maximizers(4, 1)
+        trace = hill_climb(star, EnumerationQuery(4, 1, "exact"))
         assert trace.steps == () and trace.converged_to_prediction
 
     def test_wrong_edge_count_rejected(self):

@@ -129,25 +129,36 @@ class TestVerifyTheorem1:
         assert r.params is None
         assert r.lemma2_ok is None and r.lemma3_ok is None
 
-    def test_beta_below_two_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            verify_theorem1(5, 1)
+    def test_beta_zero_rejected(self):
+        with pytest.raises(ValueError, match="matching number must be >= 1"):
+            verify_theorem1(5, 0)
+
+    def test_empty_class_at_beta_one_is_infeasible(self):
+        r = verify_theorem1(0, 1)
+        assert r.verdict == "infeasible" and r.classes == 0 and r.predicted == ()
 
 
 class TestVerifyBeta1:
     def test_m3_two_maximizers(self):
-        r = verify_beta1(3)
+        r = verify_theorem1(3, 1)
         assert r.verdict == "pass"
         assert len(r.argmax) == 2
+        assert r.argmax == r.predicted == ("Bw", "CF")  # triangle, 3-star
         assert r.qmax == pytest.approx(4.0, abs=1e-9)
-        assert r.lemma3_ok is None
+        assert r.params is None and r.lemma3_ok is None
 
     @pytest.mark.parametrize("m", [1, 2, 4, 5, 6])
     def test_stars_win(self, m):
-        r = verify_beta1(m)
+        r = verify_theorem1(m, 1)
         assert r.verdict == "pass"
         assert len(r.argmax) == 1
         assert r.qmax == pytest.approx(m + 1, abs=1e-9)
+        assert r.params is None
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_old_name_delegates(self, m):
+        for fmt in ("json", "csv"):
+            assert emit_report(verify_beta1(m), fmt) == emit_report(verify_theorem1(m, 1), fmt)
 
 
 @pytest.fixture(scope="module")
