@@ -1,10 +1,10 @@
 """Command-line surface: every library operation behind graph6 I/O.
 
 Exit codes: 0 success, 1 domain error (bad graph6, infeasible or failing
-query, violated rewiring precondition), 2 usage error (bad flags, bad
-QSPEX_GUARD, out-of-range tolerance).  All numeric output carries 12
-significant digits.  Graphs are given as graph6 strings; `-` reads them one
-per line from stdin.
+query, violated rewiring precondition, unwritable --output), 2 usage error
+(bad flags, bad QSPEX_GUARD, out-of-range tolerance).  All numeric output
+carries 12 significant digits.  Graphs are given as graph6 strings; `-` reads
+them one per line from stdin.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class CliConfig:
     def validate(self) -> "CliConfig":
         if not 1 <= self.guard <= MAX_GUARD:
             raise UsageError(f"guard must be within 1..{MAX_GUARD}, got {self.guard}")
-        if not 1e-14 <= self.tolerance <= 1e-6:
+        if not 1e-13 <= self.tolerance <= 1e-6:
             raise UsageError(
-                f"tolerance must lie in [1e-14, 1e-6], got {self.tolerance!r}"
+                f"tolerance must lie in [1e-13, 1e-6], got {self.tolerance!r}"
             )
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
@@ -316,8 +316,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     text = "\n".join(lines) + ("\n" if lines else "")
     if cfg.output:
-        with open(cfg.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

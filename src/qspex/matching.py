@@ -1,14 +1,18 @@
-"""Maximum matchings: size, exhaustive enumeration, and eigenvector-weighted
-selection.
+"""Maximum matchings: size, rewiring decisions, exhaustive enumeration, and
+eigenvector-weighted selection.
 
 matching_number runs Edmonds' blossom algorithm (base-array contraction), so
-it is exact on arbitrary graphs, odd cycles included.  all_maximum_matchings
-enumerates every maximum matching by a decision search on the lowest live
-vertex, pruned by exact feasibility checks.  extremal_matching picks, among
-maximum matchings, one maximizing sum (x_u + x_v)^2, component by component,
-since both the matchings and the weight split over components;
-proper_ordering and edge_partition then fix the vertex orientation and the
-E1/E2 edge split that the rewiring lemmas consume.
+it is exact on arbitrary graphs, odd cycles included.  MatchedGraph keeps one
+maximum matching of a graph g and the Gallai-Edmonds barrier of g, and from
+them decides the matching number of g with a few edges removed and added: a
+warm-started matching from below, a Tutte-Berge bound from above, and blossom
+searches only when the two differ.  all_maximum_matchings enumerates every
+maximum matching by a decision search on the lowest live vertex, pruned by
+exact feasibility checks.  extremal_matching picks, among maximum matchings,
+one maximizing sum (x_u + x_v)^2, component by component, since both the
+matchings and the weight split over components; proper_ordering and
+edge_partition then fix the vertex orientation and the E1/E2 edge split that
+the rewiring lemmas consume.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, components, induced_subgraph
+from .graphs import Graph, _bits, components, induced_subgraph
 
 # Matchings within this weight of the best are treated as tied, and vertex
 # orientations with |x_u - x_v| inside it fall back to index order; keeps the
@@ -74,7 +78,13 @@ class OrderedMatching:
 # ---------------------------------------------------------------------------
 
 
-def _find_augmenting(n: int, adj: list[list[int]], match: list[int], root: int) -> bool:
+def _find_augmenting(n: int, adj: list[list[int]], match: list[int], root: int) -> int:
+    """Search for an augmenting path from the exposed vertex root.
+
+    If one exists, flip it into match and return 0.  Otherwise return the
+    bitmask of the search tree's outer vertices: those that an even
+    alternating path reaches from root, root included.
+    """
     parent = [-1] * n
     base = list(range(n))
     in_tree = [False] * n
@@ -133,33 +143,161 @@ def _find_augmenting(n: int, adj: list[list[int]], match: list[int], root: int) 
                         match[u] = pv
                         match[pv] = u
                         u = nxt
-                    return True
+                    return 0
                 if not in_tree[match[to]]:
                     in_tree[match[to]] = True
                     queue.append(match[to])
-    return False
+    outer = 0
+    for v in range(n):
+        if in_tree[v]:
+            outer |= 1 << v
+    return outer
 
 
-def maximum_matching(g: Graph) -> Matching:
-    """One maximum matching (exact, via blossom contraction)."""
-    n = g.n
-    adj = [list(g.neighbors(v)) for v in range(n)]
-    match = [-1] * n
-    for v in range(n):  # greedy warm start
+def _maximize(n: int, adj: list[list[int]], match: list[int]) -> int:
+    """Grow match greedily, then to a maximum matching by one search from each
+    exposed vertex.  Return the union of the failed searches' outer vertices.
+
+    A vertex whose search fails keeps no augmenting path and its search tree
+    stays intact while other searches augment (Edmonds' lemma), so each vertex
+    needs one search, and the union is the Gallai-Edmonds set D of the
+    vertices that some maximum matching leaves exposed.
+    """
+    for v in range(n):
         if match[v] == -1:
             for to in adj[v]:
                 if match[to] == -1:
                     match[v] = to
                     match[to] = v
                     break
+    missed = 0
     for v in range(n):
         if match[v] == -1:
-            _find_augmenting(n, adj, match, v)
+            missed |= _find_augmenting(n, adj, match, v)
+    return missed
+
+
+def maximum_matching(g: Graph) -> Matching:
+    """One maximum matching (exact, via blossom contraction)."""
+    n = g.n
+    match = [-1] * n
+    _maximize(n, [list(g.neighbors(v)) for v in range(n)], match)
     return Matching(tuple(sorted((v, match[v]) for v in range(n) if match[v] > v)))
 
 
 def matching_number(g: Graph) -> int:
     return maximum_matching(g).size
+
+
+class MatchedGraph:
+    """A graph g with one maximum matching M and the Gallai-Edmonds barrier B
+    of g, from which the matching number of a rewiring h = g - R + A is
+    decided: R a set of edges of g, A a set of non-edges of g - R.
+
+    Lower bound: M minus R is a matching of h, and an added edge whose ends
+    are both free joins it.  When R is one matched edge uv and some maximum
+    matching of g misses u or v, that matching avoids uv, so nu(h) >= nu(g).
+
+    Upper bound: nu(h) <= (n + |B| - odd(h - B)) / 2 for any vertex set B
+    (Tutte-Berge).  The bound is taken on g - B + A, of which h - B is a
+    subgraph; splitting a component never lowers the number of odd ones.
+    For the barrier of g it equals nu(g) plus the number of added edges that
+    join two odd components.
+
+    When the bounds meet, that is nu(h).  Otherwise the warm-started matching
+    grows by one blossom search from each exposed vertex until it meets the
+    upper bound or every search has failed, which is exact by Edmonds'
+    lemma.  Most climber moves are decided with no search.
+    """
+
+    __slots__ = ("size", "_n", "_adj", "_mate", "_missed", "_label", "_odd", "_bound")
+
+    def __init__(self, g: Graph):
+        n = g.n
+        self._n = n
+        self._adj = [list(g.neighbors(v)) for v in range(n)]
+        self._mate = [-1] * n
+        self._missed = missed = _maximize(n, self._adj, self._mate)
+        self.size = sum(1 for v in range(n) if self._mate[v] > v)
+        barrier = 0
+        for v in _bits(missed):
+            barrier |= g.neighbors_mask(v)
+        barrier &= ~missed
+        # components of g - B: a label per vertex (-1 on B), odd flag per label
+        self._label = [-1] * n
+        self._odd: list[bool] = []
+        rest = ((1 << n) - 1) & ~barrier
+        while rest:
+            part = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for w in _bits(frontier):
+                    reach |= g.neighbors_mask(w)
+                frontier = reach & rest & ~part
+                part |= frontier
+            rest &= ~part
+            for w in _bits(part):
+                self._label[w] = len(self._odd)
+            self._odd.append(bool(part.bit_count() & 1))
+        self._bound = (n + barrier.bit_count() - sum(self._odd)) // 2
+
+    def rewired_matching_number(
+        self, removed: Sequence[tuple[int, int]], added: Sequence[tuple[int, int]]
+    ) -> int:
+        """nu(g - removed + added), exact.  removed must be edges of g, and
+        added pairs of distinct vertices that are not edges of g - removed;
+        the climber passes only such moves, and they are not checked."""
+        n = self._n
+        match = self._mate.copy()
+        size = self.size
+        for u, v in removed:
+            if match[u] == v:
+                match[u] = match[v] = -1
+                size -= 1
+        floor = size
+        if len(removed) == 1 and size < self.size:
+            ((u, v),) = removed
+            if (self._missed >> u | self._missed >> v) & 1:
+                floor = self.size
+        bound = self._bound
+        label, odd = self._label, self._odd
+        joined: dict[int, int] = {}  # union-find over the labels A joins
+        joined_odd: dict[int, bool] = {}
+        for u, v in added:
+            if match[u] == -1 and match[v] == -1:
+                match[u] = v
+                match[v] = u
+                size += 1
+            a, b = label[u], label[v]
+            if a < 0 or b < 0:
+                continue
+            while a in joined:
+                a = joined[a]
+            while b in joined:
+                b = joined[b]
+            if a != b:
+                odd_a, odd_b = joined_odd.get(a, odd[a]), joined_odd.get(b, odd[b])
+                joined[b] = a
+                joined_odd[a] = odd_a != odd_b
+                bound += odd_a and odd_b
+        if max(size, floor) >= bound:
+            return bound
+        adj = self._adj.copy()
+        for u, v in removed:
+            adj[u] = [w for w in adj[u] if w != v]
+            adj[v] = [w for w in adj[v] if w != u]
+        for u, v in added:
+            adj[u] = adj[u] + [v]
+            adj[v] = adj[v] + [u]
+        # An augmenting path joins two exposed vertices, so once every other
+        # exposed vertex has failed its search the last one has no partner.
+        roots = [v for v in range(n) if match[v] == -1 and adj[v]]
+        for v in roots[:-1]:
+            if match[v] == -1 and not _find_augmenting(n, adj, match, v):
+                size += 1
+                if size == bound:
+                    break
+        return size
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ as a cheap filter takes it: h = p + e is canonicalized only if e has the
 largest sorted endpoint degrees among the deletable edges of h.  That key is
 an isomorphism invariant, so each h still comes from the parent h - e* for a
 maximizing e*; the few duplicates that pass are removed by canonical form.
+
+The hill climber applies rotations and Kelmans swaps that keep the class.
+One move changes at most two edges, so it decides each move's matching
+number from the current graph's maximum matching (matching.MatchedGraph)
+instead of a blossom run on the rewired graph.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .graphs import (
     to_graph6,
     union_all,
 )
-from .matching import matching_number
+from .matching import MatchedGraph, matching_number
 from .spectral import Q_MARGIN, q_radii, q_radius
 from .transform import ROTATION_MARGIN
 
@@ -258,11 +263,15 @@ def hill_climb(
 
     Each step scans every rotation whose eigenvector sums justify it and every
     swap whose predicted gain is positive, keeps the rewired graphs that stay
-    in the class, and solves their radii in one batch.  Among the moves that
-    raise q by more than the solver margin and whose q_after lies within
-    Q_MARGIN of the largest, it applies the least (move, detail), so exact
-    ties between symmetric moves are not decided by solver rounding.  The
-    step records the graph and radius from that batch; nothing is solved
+    in the class, and solves their radii in one batch.  Whether a move stays
+    in the class is decided by MatchedGraph from one maximum matching and the
+    Gallai-Edmonds barrier of the current graph, which settles most moves
+    with no blossom search; only the moves kept are built as graphs, and the
+    matching is computed once more for the graph a step moves to.  Among the
+    moves that raise q by more than the solver margin and whose q_after lies
+    within Q_MARGIN of the largest, it applies the least (move, detail), so
+    exact ties between symmetric moves are not decided by solver rounding.
+    The step records the graph and radius from that batch; nothing is solved
     again.  Stops at a local maximum or after max_steps; the trace records
     whether the endpoint is isomorphic to one of the predicted maximizers
     for the class.
@@ -271,14 +280,15 @@ def hill_climb(
         raise ValueError(
             f"start graph has {start.m} edges but the class requires {query.m}"
         )
-    if not query.admits(matching_number(start)):
+    matched = MatchedGraph(start)
+    if not query.admits(matched.size):
         raise ValueError("start graph is outside the query class")
 
     current = start
     steps: list[ClimbStep] = []
     for _ in range(max_steps):
         spectrum = q_radius(current)
-        x = spectrum.x
+        x = spectrum.x.tolist()
         moves: list[tuple[str, str, Graph]] = []  # (move, detail, rewired graph)
 
         edges = current.edges()
@@ -295,8 +305,8 @@ def hill_climb(
             for f in non_edges:
                 if x[f[0]] + x[f[1]] < removed_sum - 1e-12:
                     continue
-                h = current.remove_edge(e).add_edge(f)
-                if query.admits(matching_number(h)):
+                if query.admits(matched.rewired_matching_number((e,), (f,))):
+                    h = current.remove_edge(e).add_edge(f)
                     moves.append(("rotate", f"-{e} +{f}", h))
         for a in range(len(edges)):
             for b in range(a + 1, len(edges)):
@@ -319,8 +329,8 @@ def hill_climb(
                         continue
                     fu = (min(ui, uj), max(ui, uj))
                     fv = (min(vi, vj), max(vi, vj))
-                    h = current.remove_edge(e1).remove_edge(e2).add_edge(fu).add_edge(fv)
-                    if query.admits(matching_number(h)):
+                    if query.admits(matched.rewired_matching_number((e1, e2), (fu, fv))):
+                        h = current.remove_edge(e1).remove_edge(e2).add_edge(fu).add_edge(fv)
                         moves.append(("kelmans_swap", f"-{e1} -{e2} +{fu} +{fv}", h))
 
         gains = [
@@ -336,6 +346,7 @@ def hill_climb(
             key=lambda gain: gain[1][:2],
         )
         steps.append(ClimbStep(move, detail, spectrum.q, q_after, to_graph6(current)))
+        matched = MatchedGraph(current)
 
     trimmed = strip_isolated(current)
     converged = any(

@@ -31,9 +31,10 @@ from .graphs import Graph, components
 # misses a tolerance set at that floor gets at most _POLISH_STEPS power steps
 # from the eigh vector before the solve raises ArithmeticError; at 1e-14 on
 # such graphs, four steps turn about half of eigh's misses into passes and
-# more steps add little.  Q_MARGIN is the band for comparing radii of
-# different graphs downstream.  A batched solve stacks at most _CHUNK
-# matrices, which caps its working memory.
+# more steps add little, so the CLI accepts no tolerance below 1e-13, which
+# every dense graph sampled certifies.  Q_MARGIN is the band for comparing
+# radii of different graphs downstream.  A batched solve stacks at most
+# _CHUNK matrices, which caps its working memory.
 # ---------------------------------------------------------------------------
 RESIDUAL_TOL = 1e-10
 Q_MARGIN = 1e-9

@@ -179,6 +179,51 @@ def graphs(draw, min_n: int = 0, max_n: int = 9) -> Graph:
 
 
 @st.composite
+def sparse_graphs(draw, min_n: int = 2, max_n: int = 10) -> Graph:
+    """About as many edges as vertices, as in the climber's start graphs;
+    isolated vertices and several components are common."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs), max_size=n + 3)))
+
+
+def climber_moves(g: Graph) -> tuple[list, list]:
+    """Every rotation (one edge out, one non-edge in) and every Kelmans swap
+    (independent edges ab, cd out; ac, bd or ad, bc in) of g, each as
+    (removed, added)."""
+    edges = g.edges()
+    non_edges = [f for f in combinations(range(g.n), 2) if not g.has_edge(*f)]
+    rotations = [((e,), (f,)) for e in edges for f in non_edges]
+    swaps = [
+        ((e1, e2), (tuple(sorted(f1)), tuple(sorted(f2))))
+        for e1, e2 in combinations(edges, 2)
+        if not set(e1) & set(e2)
+        for f1, f2 in (((e1[0], e2[0]), (e1[1], e2[1])), ((e1[0], e2[1]), (e1[1], e2[0])))
+        if not g.has_edge(*f1) and not g.has_edge(*f2)
+    ]
+    return rotations, swaps
+
+
+@st.composite
+def rewirings(draw) -> tuple[Graph, tuple, tuple]:
+    """(g, removed, added): a graph with at most 10 vertices and a rotation, a
+    Kelmans swap, or up to two edges out and two non-edges of g - out in,
+    re-adding a removed edge included.  A graph without the move drawn gets
+    another kind, and an edgeless or complete one the last kind."""
+    g = draw(st.one_of(graphs(min_n=2, max_n=10), sparse_graphs()))
+    rotations, swaps = climber_moves(g)
+    kind = draw(st.sampled_from(["rotate", "swap", "any"]))
+    moves = {"rotate": rotations or swaps, "swap": swaps or rotations, "any": []}[kind]
+    if moves:
+        return (g, *draw(st.sampled_from(moves)))
+    edges = g.edges()
+    removed = draw(st.lists(st.sampled_from(edges), max_size=2, unique=True)) if edges else []
+    free = [f for f in combinations(range(g.n), 2) if f in removed or not g.has_edge(*f)]
+    added = draw(st.lists(st.sampled_from(free), max_size=2, unique=True)) if free else []
+    return g, tuple(removed), tuple(added)
+
+
+@st.composite
 def permutations_of(draw, n: int) -> list[int]:
     return draw(st.permutations(list(range(n))))
 

@@ -1,11 +1,14 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qspex.family import build_h, build_s
-from qspex.graphs import Graph, disjoint_union, union_all
+from qspex.graphs import Graph, disjoint_union, induced_subgraph, union_all
 from qspex.matching import (
     ENUMERATION_GUARD,
+    MatchedGraph,
     Matching,
     OrderedMatching,
     all_maximum_matchings,
@@ -19,11 +22,14 @@ from qspex.matching import (
 from qspex.spectral import q_radius
 
 from helpers import (
+    climber_moves,
     graphs,
     oracle_all_matchings_of_size,
     oracle_extremal_matching,
     oracle_matching_number,
     random_graph,
+    rewirings,
+    sparse_graphs,
 )
 
 PETERSEN = Graph.from_edges(
@@ -81,8 +87,6 @@ class TestMaximumMatching:
         assert matching_number(build_h(4)) == 3
 
     def test_additive_over_components(self):
-        import random
-
         r = random.Random(5)
         for _ in range(40):
             g1 = random_graph(r, max_n=6)
@@ -90,6 +94,53 @@ class TestMaximumMatching:
             assert matching_number(disjoint_union(g1, g2)) == matching_number(
                 g1
             ) + matching_number(g2)
+
+
+def rewired(g, removed, added):
+    for e in removed:
+        g = g.remove_edge(e)
+    for f in added:
+        g = g.add_edge(f)
+    return g
+
+
+class TestMatchedGraph:
+    @settings(max_examples=300)
+    @given(rewirings())
+    def test_rewiring_equals_oracles(self, case):
+        g, removed, added = case
+        h = rewired(g, removed, added)
+        got = MatchedGraph(g).rewired_matching_number(removed, added)
+        assert got == oracle_matching_number(h) == matching_number(h)
+
+    def test_every_climber_move_on_sparse_graphs(self):
+        # every rotation and Kelmans swap of graphs like the climber's starts
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randint(6, 10)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Graph.from_edges(n, rng.sample(pairs, rng.randint(n - 2, n + 4)))
+            matched = MatchedGraph(g)
+            assert matched.size == matching_number(g)
+            rotations, swaps = climber_moves(g)
+            for removed, added in rotations + swaps:
+                h = rewired(g, removed, added)
+                assert matched.rewired_matching_number(removed, added) == matching_number(h)
+
+    @given(st.one_of(graphs(max_n=10), sparse_graphs()))
+    def test_missed_vertices_are_gallai_edmonds_d(self, g):
+        # v is missed by some maximum matching iff deleting it keeps nu(g)
+        matched = MatchedGraph(g)
+        for v in range(g.n):
+            rest = [w for w in range(g.n) if w != v]
+            keeps = oracle_matching_number(induced_subgraph(g, rest)) == matched.size
+            assert bool(matched._missed >> v & 1) == keeps
+
+    @given(st.one_of(graphs(max_n=10), sparse_graphs()))
+    def test_barrier_certifies_the_matching(self, g):
+        # Gallai-Edmonds: (n + |B| - odd(g - B)) / 2 = nu(g) for the barrier B
+        matched = MatchedGraph(g)
+        assert matched._bound == matched.size == oracle_matching_number(g)
 
 
 class TestAllMaximumMatchings:
