@@ -20,7 +20,7 @@ from .graphs import Graph6Error, canonical_graph, from_graph6, to_graph6
 from .search import DEFAULT_GUARD, EnumerationQuery, enumerate_graphs, hill_climb
 from .spectral import RESIDUAL_TOL, q_radius
 from .matching import matching_number
-from .transform import kelmans_swap, pendant_collapse, rotate
+from .transform import RewireResult, kelmans_swap, pendant_collapse, rotate
 from .verify import _fmt, emit_report, verify_theorem1
 
 MAX_GUARD = 12
@@ -151,6 +151,8 @@ def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], in
 
 
 def _cmd_climb(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+    if args.max_steps < 0:
+        raise UsageError(f"--max-steps must be nonnegative, got {args.max_steps}")
     start = from_graph6(args.start)
     query = EnumerationQuery(args.m, args.beta, "at_least" if args.at_least else "exact")
     trace = hill_climb(start, query, max_steps=args.max_steps)
@@ -166,49 +168,36 @@ def _cmd_climb(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int
     return lines, 0
 
 
+def _rewire_output(r: RewireResult) -> tuple[list[str], int]:
+    lines = [
+        f"graph6 {to_graph6(r.graph)}",
+        f"q_before {_fmt(r.q_before)}",
+        f"q_after {_fmt(r.q_after)}",
+        f"delta {_fmt(r.delta)}",
+    ]
+    if r.predicted_gain is not None:
+        lines.append(f"predicted {_fmt(r.predicted_gain)}")
+        lines.append(f"condition_held {'true' if r.condition_held else 'false'}")
+    return lines, 0
+
+
 def _cmd_rotate(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
     g = from_graph6(args.graph)
-    x = q_radius(g).x
-    r = rotate(g, x, _parse_pair(args.remove), _parse_pair(args.add))
-    return (
-        [
-            f"graph6 {to_graph6(r.graph)}",
-            f"q_before {_fmt(r.q_before)}",
-            f"q_after {_fmt(r.q_after)}",
-            f"delta {_fmt(r.delta)}",
-        ],
-        0,
+    return _rewire_output(
+        rotate(g, q_radius(g).x, _parse_pair(args.remove), _parse_pair(args.add))
     )
 
 
 def _cmd_swap(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
     g = from_graph6(args.graph)
-    r = kelmans_swap(g, _parse_pair(args.first), _parse_pair(args.second))
-    return (
-        [
-            f"graph6 {to_graph6(r.graph)}",
-            f"q_before {_fmt(r.q_before)}",
-            f"q_after {_fmt(r.q_after)}",
-            f"delta {_fmt(r.delta)}",
-            f"predicted {_fmt(r.predicted_gain)}",
-            f"condition_held {'true' if r.condition_held else 'false'}",
-        ],
-        0,
+    return _rewire_output(
+        kelmans_swap(g, _parse_pair(args.first), _parse_pair(args.second))
     )
 
 
 def _cmd_collapse(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
     g = from_graph6(args.graph)
-    r = pendant_collapse(g, args.center, _parse_edge_list(args.edges))
-    return (
-        [
-            f"graph6 {to_graph6(r.graph)}",
-            f"q_before {_fmt(r.q_before)}",
-            f"q_after {_fmt(r.q_after)}",
-            f"delta {_fmt(r.delta)}",
-        ],
-        0,
-    )
+    return _rewire_output(pendant_collapse(g, args.center, _parse_edge_list(args.edges)))
 
 
 _HANDLERS = {

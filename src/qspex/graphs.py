@@ -70,26 +70,35 @@ class Graph:
         return tuple(sorted((a.bit_count() for a in self._adj), reverse=True))
 
     def add_edge(self, e: tuple[int, int]) -> "Graph":
-        u, v = e
-        if u == v:
-            raise ValueError(f"loop edge {e!r}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range in edge {e!r}")
-        if self.has_edge(u, v):
-            raise ValueError(f"edge already present: {e!r}")
-        adj = list(self._adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
+        return self.rewire((), (e,))
 
     def remove_edge(self, e: tuple[int, int]) -> "Graph":
-        u, v = e
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge not in graph: {e!r}")
+        return self.rewire((e,), ())
+
+    def rewire(
+        self, removed: Iterable[tuple[int, int]], added: Iterable[tuple[int, int]]
+    ) -> "Graph":
+        """The graph with the edges in `removed` deleted, then those in
+        `added` inserted, in order; a removed edge may be added back."""
+        n = self.n
         adj = list(self._adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph(self.n, tuple(adj))
+        for e in removed:
+            u, v = e
+            if not (0 <= u < n and 0 <= v < n and u != v and adj[u] >> v & 1):
+                raise ValueError(f"edge not in graph: {e!r}")
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+        for e in added:
+            u, v = e
+            if u == v:
+                raise ValueError(f"loop edge {e!r}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex out of range in edge {e!r}")
+            if adj[u] >> v & 1:
+                raise ValueError(f"edge already present: {e!r}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return Graph(n, tuple(adj))
 
     def add_vertices(self, k: int) -> "Graph":
         if k < 0:

@@ -16,10 +16,11 @@ largest sorted endpoint degrees among the deletable edges of h.  That key is
 an isomorphism invariant, so each h still comes from the parent h - e* for a
 maximizing e*; the few duplicates that pass are removed by canonical form.
 
-The hill climber applies rotations and Kelmans swaps that keep the class.
-One move changes at most two edges, so it decides each move's matching
-number from the current graph's maximum matching (matching.MatchedGraph)
-instead of a blossom run on the rewired graph.
+The hill climber applies the rotations and Kelmans swaps that
+transform.candidate_moves justifies and that keep the class.  One move
+changes at most two edges, so it decides each move's matching number from
+the current graph's maximum matching (matching.MatchedGraph) instead of a
+blossom run on the rewired graph.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .graphs import (
 )
 from .matching import MatchedGraph, matching_number
 from .spectral import Q_MARGIN, q_radii, q_radius
-from .transform import ROTATION_MARGIN
+from .transform import ROTATION_MARGIN, candidate_moves, move_detail
 
 DEFAULT_GUARD = 10  # enumeration refuses edge counts beyond this unless raised
 ARGMAX_BAND = 1e-8  # graphs within this of the max radius are co-extremal
@@ -258,24 +259,23 @@ class ClimbTrace:
 def hill_climb(
     start: Graph, query: EnumerationQuery, max_steps: int = 64
 ) -> ClimbTrace:
-    """Steepest-ascent climb inside the query class using precondition-valid
-    rotations and gain-predicting swaps.
+    """Steepest-ascent climb inside the query class over the moves of
+    transform.candidate_moves: justified rotations and swap orientations.
 
-    Each step scans every rotation whose eigenvector sums justify it and every
-    swap whose predicted gain is positive, keeps the rewired graphs that stay
-    in the class, and solves their radii in one batch.  Whether a move stays
-    in the class is decided by MatchedGraph from one maximum matching and the
+    Each step keeps the moves that stay in the class, builds each kept graph
+    once, and solves their radii in one batch.  Whether a move stays in the
+    class is decided by MatchedGraph from one maximum matching and the
     Gallai-Edmonds barrier of the current graph, which settles most moves
-    with no blossom search; only the moves kept are built as graphs, and the
-    matching is computed once more for the graph a step moves to.  Among the
-    moves that raise q by more than the solver margin and whose q_after lies
-    within Q_MARGIN of the largest, it applies the least (move, detail), so
-    exact ties between symmetric moves are not decided by solver rounding.
-    The step records the graph and radius from that batch; nothing is solved
-    again.  Stops at a local maximum or after max_steps; the trace records
-    whether the endpoint is isomorphic to one of the predicted maximizers
-    for the class.
+    with no blossom search.  Among the moves that raise q by more than the
+    solver margin and whose q_after lies within Q_MARGIN of the largest, it
+    applies the least (move, detail), so exact ties between symmetric moves
+    are not decided by solver rounding.  The step records the graph and
+    radius from that batch; nothing is solved again.  Stops at a local
+    maximum or after max_steps (nonnegative); the trace records whether the
+    endpoint is isomorphic to one of the predicted maximizers for the class.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if start.m != query.m:
         raise ValueError(
             f"start graph has {start.m} edges but the class requires {query.m}"
@@ -288,51 +288,11 @@ def hill_climb(
     steps: list[ClimbStep] = []
     for _ in range(max_steps):
         spectrum = q_radius(current)
-        x = spectrum.x.tolist()
-        moves: list[tuple[str, str, Graph]] = []  # (move, detail, rewired graph)
-
-        edges = current.edges()
-        non_edges = [
-            (u, v)
-            for u in range(current.n)
-            for v in range(u + 1, current.n)
-            if not current.has_edge(u, v)
+        moves = [
+            (move, move_detail(removed, added), current.rewire(removed, added))
+            for move, removed, added in candidate_moves(current, spectrum.x)
+            if query.admits(matched.rewired_matching_number(removed, added))
         ]
-        for e in edges:
-            removed_sum = x[e[0]] + x[e[1]]
-            if removed_sum <= 1e-12:
-                continue
-            for f in non_edges:
-                if x[f[0]] + x[f[1]] < removed_sum - 1e-12:
-                    continue
-                if query.admits(matched.rewired_matching_number((e,), (f,))):
-                    h = current.remove_edge(e).add_edge(f)
-                    moves.append(("rotate", f"-{e} +{f}", h))
-        for a in range(len(edges)):
-            for b in range(a + 1, len(edges)):
-                e1, e2 = edges[a], edges[b]
-                if set(e1) & set(e2):
-                    continue
-                # both pairings, both role assignments: the gain bound needs
-                # positive factors in *some* orientation of a pairing
-                for ei, ej in (
-                    (e1, e2),
-                    ((e1[1], e1[0]), (e2[1], e2[0])),
-                    ((e1[1], e1[0]), e2),
-                    (e1, (e2[1], e2[0])),
-                ):
-                    ui, vi = ei
-                    uj, vj = ej
-                    if current.has_edge(ui, uj) or current.has_edge(vi, vj):
-                        continue
-                    if not (x[vj] - x[ui] > 0.0 and x[vi] - x[uj] > 0.0):
-                        continue
-                    fu = (min(ui, uj), max(ui, uj))
-                    fv = (min(vi, vj), max(vi, vj))
-                    if query.admits(matched.rewired_matching_number((e1, e2), (fu, fv))):
-                        h = current.remove_edge(e1).remove_edge(e2).add_edge(fu).add_edge(fv)
-                        moves.append(("kelmans_swap", f"-{e1} -{e2} +{fu} +{fv}", h))
-
         gains = [
             (q_after, move)
             for q_after, move in zip(q_radii([h for _, _, h in moves]), moves)

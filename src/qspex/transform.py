@@ -8,12 +8,17 @@ and carries a *conditional* lower bound 2(x_vj - x_ui)(x_vi - x_uj) on the
 gain, recorded rather than asserted; `pendant_collapse` deletes a set of
 edges and reattaches the same count as fresh pendants at a chosen vertex,
 preserving the edge count.
+
+`candidate_moves` yields every rotation and swap orientation of a graph that
+these preconditions justify, as (move, removed, added); the hill climber
+draws its moves from it.  The generator, `rotate` and `kelmans_swap` share
+one test per precondition and one detail format, `move_detail`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +29,8 @@ from .spectral import q_matrix, q_radius
 # no-decrease assertion uses that margin.  Supplied eigenvectors are accepted
 # when they reproduce the radius and the vertex equations to EIGEN_CHECK_TOL,
 # loose enough for vectors recomputed elsewhere, tight enough to reject
-# vectors belonging to a different graph.
+# vectors belonging to a different graph.  Eigenvector sums within
+# _SUM_TIE_TOL of each other count as equal in the rotation precondition.
 ROTATION_MARGIN = 1e-10
 EIGEN_CHECK_TOL = 1e-6
 _SUM_TIE_TOL = 1e-12
@@ -73,42 +79,102 @@ def _check_principal(g: Graph, x: np.ndarray, q_ref: float) -> np.ndarray:
     return x
 
 
+def _removable(removed_sum: float) -> bool:
+    """x_u1 + x_u2 > 0, beyond the tie band: the rotated edge carries weight."""
+    return removed_sum > _SUM_TIE_TOL
+
+
+def _outweighs(added_sum: float, removed_sum: float) -> bool:
+    """x_v1 + x_v2 >= x_u1 + x_u2, within the tie band."""
+    return added_sum >= removed_sum - _SUM_TIE_TOL
+
+
+def _swap_bound(
+    x: Sequence[float], ei: tuple[int, int], ej: tuple[int, int]
+) -> tuple[float, bool]:
+    """The predicted gain 2 (x_vj - x_ui)(x_vi - x_uj) of swapping the
+    oriented edges ei = u_i v_i, ej = u_j v_j, and whether both factors are
+    positive, where the bound is proven."""
+    factor_u = x[ej[1]] - x[ei[0]]
+    factor_v = x[ei[1]] - x[ej[0]]
+    return 2.0 * factor_u * factor_v, factor_u > 0.0 and factor_v > 0.0
+
+
+def move_detail(
+    removed: Iterable[tuple[int, int]], added: Iterable[tuple[int, int]]
+) -> str:
+    """'-(u, v) ... +(u, v) ...': the edges a move removes, then those it adds."""
+    return " ".join([f"-{e}" for e in removed] + [f"+{f}" for f in added])
+
+
+def candidate_moves(
+    g: Graph, x: Sequence[float]
+) -> Iterator[tuple[str, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]:
+    """The rotations and swap orientations of g that their preconditions
+    justify under the principal eigenvector x, as (move, removed, added);
+    a swap's first added edge is u_i u_j, which fixes its orientation.
+
+    Rotations come first, by removed edge, then by added non-edge.  Swaps
+    follow by pair of independent edges e1 < e2, trying the orientations
+    (e1, e2), both reversed, e1 reversed, e2 reversed; reversing both edges
+    negates both gain factors, so at most one orientation per pairing passes.
+    """
+    x = np.asarray(x, dtype=float).tolist()
+    adj = [g.neighbors_mask(v) for v in range(g.n)]
+    edges = g.edges()
+    non_edges = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not adj[u] >> v & 1
+    ]
+    for e in edges:
+        removed_sum = x[e[0]] + x[e[1]]
+        if _removable(removed_sum):
+            for f in non_edges:
+                if _outweighs(x[f[0]] + x[f[1]], removed_sum):
+                    yield "rotate", (e,), (f,)
+    for a, e1 in enumerate(edges):
+        for e2 in edges[a + 1 :]:
+            if set(e1) & set(e2):
+                continue
+            r1, r2 = e1[::-1], e2[::-1]
+            for (ui, vi), (uj, vj) in ((e1, e2), (r1, r2), (r1, e2), (e1, r2)):
+                if adj[ui] >> uj & 1 or adj[vi] >> vj & 1:
+                    continue
+                if _swap_bound(x, (ui, vi), (uj, vj))[1]:
+                    added = (_norm_edge((ui, uj)), _norm_edge((vi, vj)))
+                    yield "kelmans_swap", (e1, e2), added
+
+
 def rotate(g: Graph, x: np.ndarray, e: tuple[int, int], f: tuple[int, int]) -> RewireResult:
     """Remove edge e = u1 u2, add non-edge f = v1 v2.
 
     Preconditions (checked): x is the principal eigenvector of g, and
-    x_v1 + x_v2 >= x_u1 + x_u2 > 0 up to a 1e-12 band.  Under them the
-    spectral radius strictly increases, and this is asserted against the
-    measured radii within ROTATION_MARGIN.
+    x_v1 + x_v2 >= x_u1 + x_u2 > 0 up to a 1e-12 band, the test
+    candidate_moves applies.  Under them the spectral radius strictly
+    increases, and this is asserted against the measured radii within
+    ROTATION_MARGIN.
     """
     if g.m == 0:
         raise ValueError("empty graph: nothing to rotate")
     e = _norm_edge(e)
     f = _norm_edge(f)
-    if f[0] == f[1]:
-        raise ValueError(f"loop edge {f!r}")
-    if not g.has_edge(*e):
-        raise ValueError(f"edge not in graph: {e!r}")
-    if not (0 <= f[0] < g.n and 0 <= f[1] < g.n):
-        raise ValueError(f"vertex out of range in edge {f!r}")
-    if g.has_edge(*f):
+    g2 = g.rewire((e,), (f,))
+    if f == e:
         raise ValueError(f"edge already present: {f!r}")
 
     before = q_radius(g)
-    x = _check_principal(g, x, before.q)
+    x = _check_principal(g, x, before.q).tolist()
 
-    removed_sum = float(x[e[0]] + x[e[1]])
-    added_sum = float(x[f[0]] + x[f[1]])
-    if removed_sum <= _SUM_TIE_TOL:
+    removed_sum = x[e[0]] + x[e[1]]
+    added_sum = x[f[0]] + x[f[1]]
+    if not _removable(removed_sum):
         raise ValueError(
             f"sum condition failed: removed-edge sum {removed_sum!r} is not positive"
         )
-    if added_sum < removed_sum - _SUM_TIE_TOL:
+    if not _outweighs(added_sum, removed_sum):
         raise ValueError(
             f"sum condition failed: added sum {added_sum!r} < removed sum {removed_sum!r}"
         )
 
-    g2 = g.remove_edge(e).add_edge(f)
     after = q_radius(g2)
     if not after.q > before.q - ROTATION_MARGIN:
         raise ArithmeticError(
@@ -119,7 +185,7 @@ def rotate(g: Graph, x: np.ndarray, e: tuple[int, int], f: tuple[int, int]) -> R
         q_before=before.q,
         q_after=after.q,
         move="rotate",
-        detail=f"-{e} +{f}",
+        detail=move_detail((e,), (f,)),
     )
 
 
@@ -135,43 +201,27 @@ def kelmans_swap(
     up).  With x the principal eigenvector of g, the Rayleigh calculation
     predicts q_after - q_before >= 2 (x_vj - x_ui)(x_vi - x_uj); the bound is
     guaranteed when both factors are positive, which is recorded in
-    condition_held rather than asserted.
+    condition_held rather than asserted.  candidate_moves yields exactly the
+    orientations for which it holds.
     """
     ui, vi = ei
     uj, vj = ej
     if len({ui, vi, uj, vj}) < 4:
         raise ValueError(f"edges share a vertex: {ei!r}, {ej!r}")
-    for pair in (ei, ej):
-        if not g.has_edge(*pair):
-            raise ValueError(f"edge not in graph: {pair!r}")
-    for pair in ((ui, uj), (vi, vj)):
-        if g.has_edge(*pair):
-            raise ValueError(f"edge already present: {pair!r}")
+    g2 = g.rewire((ei, ej), ((ui, uj), (vi, vj)))
 
     before = q_radius(g)
-    if x is None:
-        x = before.x
-    else:
-        x = _check_principal(g, x, before.q)
-
-    factor_u = float(x[vj] - x[ui])
-    factor_v = float(x[vi] - x[uj])
-    predicted = 2.0 * factor_u * factor_v
-    held = factor_u > 0.0 and factor_v > 0.0
-
-    g2 = (
-        g.remove_edge(_norm_edge(ei))
-        .remove_edge(_norm_edge(ej))
-        .add_edge(_norm_edge((ui, uj)))
-        .add_edge(_norm_edge((vi, vj)))
-    )
+    x = before.x if x is None else _check_principal(g, x, before.q)
+    predicted, held = _swap_bound(x.tolist(), ei, ej)
+    removed = (_norm_edge(ei), _norm_edge(ej))
+    added = (_norm_edge((ui, uj)), _norm_edge((vi, vj)))
     after = q_radius(g2)
     return RewireResult(
         graph=g2,
         q_before=before.q,
         q_after=after.q,
         move="kelmans_swap",
-        detail=f"-{_norm_edge(ei)} -{_norm_edge(ej)} +{_norm_edge((ui, uj))} +{_norm_edge((vi, vj))}",
+        detail=move_detail(removed, added),
         predicted_gain=predicted,
         condition_held=held,
     )
@@ -188,19 +238,10 @@ def pendant_collapse(
     if not 0 <= v1 < g.n:
         raise ValueError(f"vertex {v1} out of range")
     edges = sorted({_norm_edge(e) for e in e2})
-    for e in edges:
-        if not g.has_edge(*e):
-            raise ValueError(f"edge not in graph: {e!r}")
-    before = q_radius(g)
-    g2 = g
-    for e in edges:
-        g2 = g2.remove_edge(e)
-    base = g2.n
-    g2 = g2.add_vertices(len(edges))
-    for i in range(len(edges)):
-        g2 = g2.add_edge((v1, base + i))
+    pendants = [(v1, g.n + i) for i in range(len(edges))]
+    g2 = g.add_vertices(len(edges)).rewire(edges, pendants)
     assert g2.m == g.m
-    after = q_radius(g2)
+    before, after = q_radius(g), q_radius(g2)
     return RewireResult(
         graph=g2,
         q_before=before.q,

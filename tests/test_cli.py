@@ -259,6 +259,13 @@ class TestClimb:
         code, _, err = run(capsys, "climb", "--start", C5, "--m", "5", "--beta", "3")
         assert code == 1 and "class" in err
 
+    def test_negative_max_steps_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "climb", "--start", K2, "--m", "1", "--beta", "1", "--max-steps", "-3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--max-steps" in err and "Traceback" not in err
+
 
 class TestRewireCommands:
     def test_rotate(self, capsys):

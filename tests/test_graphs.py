@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import combinations, permutations
 
@@ -27,6 +28,7 @@ from helpers import (
     graphs,
     oracle_canonical_graph,
     ref_graph6_encode,
+    rewirings,
     star_like_graphs,
 )
 
@@ -66,6 +68,27 @@ class TestGraphBasics:
             g.add_edge((0, 1))
         with pytest.raises(ValueError, match="not in graph"):
             g.remove_edge((0, 2))
+
+    @given(rewirings())
+    def test_rewire_matches_the_edge_set(self, move):
+        g, removed, added = move
+        expected = (set(g.edges()) - set(removed)) | set(added)
+        assert g.rewire(removed, added) == Graph.from_edges(g.n, expected)
+
+    def test_rewire_checks_every_edit(self):
+        # removals come first, so a removed edge may be added back
+        assert P4.rewire([(1, 2)], [(1, 2)]) == P4
+        assert P4.rewire([(2, 3), (0, 1)], [(0, 3)]).edges() == [(0, 3), (1, 2)]
+        for removed, added, message in [
+            ([(0, 2)], [], "edge not in graph: (0, 2)"),
+            ([(0, 1), (0, 1)], [], "edge not in graph: (0, 1)"),
+            ([], [(1, 2)], "edge already present: (1, 2)"),
+            ([], [(0, 2), (2, 0)], "edge already present: (2, 0)"),
+            ([(0, 1)], [(2, 2)], "loop edge (2, 2)"),
+            ([], [(0, 4)], "vertex out of range in edge (0, 4)"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                P4.rewire(removed, added)
 
     @pytest.mark.parametrize("u, v", [(99, 0), (0, 99), (-1, 2), (2, -1), (-4, -3), (3, 3)])
     def test_has_edge_outside_the_vertex_range(self, u, v):

@@ -231,6 +231,12 @@ class TestHillClimb:
         with pytest.raises(ValueError, match="class"):
             hill_climb(c5, EnumerationQuery(5, 3, "exact"))
 
+    def test_negative_max_steps_rejected(self):
+        c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+            hill_climb(c5, EnumerationQuery(5, 2, "exact"), max_steps=-3)
+        assert hill_climb(c5, EnumerationQuery(5, 2, "exact"), max_steps=0).steps == ()
+
     def test_steps_stay_inside_class(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
         query = EnumerationQuery(6, 3, "at_least")

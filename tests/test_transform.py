@@ -2,21 +2,24 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from qspex.family import build_h, build_s
 from qspex.graphs import Graph, canonical_form, disjoint_union
 from qspex.matching import matching_number
 from qspex.spectral import q_radius
 from qspex.transform import (
+    _SUM_TIE_TOL,
     ROTATION_MARGIN,
     RewireResult,
+    candidate_moves,
     kelmans_swap,
+    move_detail,
     pendant_collapse,
     rotate,
 )
 
-from helpers import graphs, random_graph
+from helpers import climber_moves, graphs, random_graph, sparse_graphs
 
 
 def principal(g):
@@ -54,6 +57,8 @@ class TestRotate:
         s = principal(g)
         with pytest.raises(ValueError, match="already present"):
             rotate(g, s.x, (0, 1), (1, 2))
+        with pytest.raises(ValueError, match="already present"):
+            rotate(g, s.x, (0, 1), (1, 0))  # putting back the edge it removes
 
     def test_error_eigenvector_mismatch(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -251,3 +256,70 @@ class TestRewireResult:
         assert r.move == "rotate"
         assert "(2, 3)" in r.detail and "(1, 3)" in r.detail
         assert r.predicted_gain is None  # rotation records no prediction
+
+
+def swap_orientations(removed, added):
+    """Both orientations (ei, ej) of the swap removed -> added: u_i u_j is
+    one added edge and v_i v_j the other."""
+    e1, e2 = removed
+    out = []
+    for fu, fv in (added, added[::-1]):
+        ui, uj = (fu[0], fu[1]) if fu[0] in e1 else (fu[1], fu[0])
+        vi, vj = (fv[0], fv[1]) if fv[0] in e1 else (fv[1], fv[0])
+        out.append(((ui, vi), (uj, vj)))
+    return out
+
+
+class TestCandidateMoves:
+    """candidate_moves against every rotation and swap of the graph filtered
+    by the stated preconditions, and against what rotate and kelmans_swap
+    accept for the same eigenvector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.one_of(graphs(max_n=8), sparse_graphs(max_n=9)))
+    def test_yields_exactly_the_justified_moves(self, g):
+        x = q_radius(g).x
+        rotations, swaps = climber_moves(g)
+
+        def rotation_ok(removed, added):
+            (u1, u2), (v1, v2) = removed[0], added[0]
+            out_sum = x[u1] + x[u2]
+            return out_sum > _SUM_TIE_TOL and x[v1] + x[v2] >= out_sum - _SUM_TIE_TOL
+
+        def orientation_ok(ei, ej):
+            (ui, vi), (uj, vj) = ei, ej
+            return x[vj] - x[ui] > 0 and x[vi] - x[uj] > 0
+
+        expected = [("rotate", r, frozenset(a)) for r, a in rotations if rotation_ok(r, a)]
+        expected += [
+            ("kelmans_swap", r, frozenset(a))
+            for r, a in swaps
+            if any(orientation_ok(ei, ej) for ei, ej in swap_orientations(r, a))
+        ]
+        moves = list(candidate_moves(g, x))
+        assert [(kind, r, frozenset(a)) for kind, r, a in moves] == expected
+
+        yielded = {(r, a) for kind, r, a in moves if kind == "rotate"}
+        for r, a in rotations:
+            if (r, a) in yielded:
+                result = rotate(g, x, r[0], a[0])
+                assert result.detail == move_detail(r, a)
+            else:
+                with pytest.raises(ValueError, match="sum condition failed"):
+                    rotate(g, x, r[0], a[0])
+
+        # the first added edge of a yielded swap joins u_i and u_j
+        oriented = {(r, a) for kind, r, a in moves if kind == "kelmans_swap"}
+        for r, a in swaps:
+            for ei, ej in swap_orientations(r, a):
+                u_pair = tuple(sorted((ei[0], ej[0])))
+                v_pair = tuple(sorted((ei[1], ej[1])))
+                result = kelmans_swap(g, ei, ej, x)
+                assert result.condition_held is ((r, (u_pair, v_pair)) in oriented)
+                assert result.detail == move_detail(r, (u_pair, v_pair))
+
+    def test_detail_lists_removed_then_added_edges(self):
+        assert move_detail([(0, 1)], [(1, 2)]) == "-(0, 1) +(1, 2)"
+        assert move_detail([(0, 1), (2, 3)], [(0, 2), (1, 3)]) == (
+            "-(0, 1) -(2, 3) +(0, 2) +(1, 3)"
+        )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -235,6 +236,19 @@ class TestEmitReport:
         again = verify_theorem1(5, 2)
         assert emit_report(report) == emit_report(again)
         assert emit_report(report, format="csv") == emit_report(again, format="csv")
+
+
+def test_reports_for_every_class_up_to_m10_are_pinned():
+    # JSON then CSV of each report, m and then beta ascending, no timings:
+    # any change to a verdict, a maximizer or a printed digit moves the hash
+    digest = hashlib.sha256()
+    for m in range(1, 11):
+        for beta in range(1, m + 1):
+            r = verify_theorem1(m, beta)
+            digest.update((emit_report(r, "json") + emit_report(r, "csv")).encode("ascii"))
+    assert digest.hexdigest() == (
+        "53008e773ee15bf0a14558f8b95a03d18e470e9acf0bf2a461714ba09ef09a1b"
+    )
 
 
 def test_report_dataclass_shape():
