@@ -10,6 +10,7 @@ them one per line from stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -213,7 +214,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qspex argument parser, built once per process: parsing keeps no
+    state between calls, so in-process callers of main share it."""
     parser = argparse.ArgumentParser(
         prog="qspex",
         description="Signless-Laplacian spectral extremality under edge and matching constraints",

@@ -14,7 +14,10 @@ canonical augmentation ("Isomorph-free exhaustive generation", 1998) as far
 as a cheap filter takes it: h = p + e is canonicalized only if e has the
 largest sorted endpoint degrees among the deletable edges of h.  That key is
 an isomorphism invariant, so each h still comes from the parent h - e* for a
-maximizing e*; the few duplicates that pass are removed by canonical form.
+maximizing e*.  The filter reads the parent's adjacency masks and degrees
+with e added, so a Graph is built only for the augmentations that pass
+(6,284 of 30,401 up to k = 10).  The few duplicates that pass are removed by
+canonical adjacency, and each level is sorted by graph6.
 
 The hill climber applies the rotations and Kelmans swaps that
 transform.candidate_moves justifies and that keep the class.  One move
@@ -78,8 +81,9 @@ _catalog: dict[int, list[tuple[Graph, int]]] = {}
 def connected_catalog(k: int) -> list[tuple[Graph, int]]:
     """All connected graphs with exactly k edges (canonical labels, no
     isolated vertices), each with its matching number; sorted by canonical
-    form.  Cached and grown level by level; only augmentations that pass the
-    canonical-deletion filter are canonicalized."""
+    form.  Cached and grown level by level; an augmentation is tested by the
+    canonical-deletion filter on adjacency masks, and only those that pass
+    become graphs and are canonicalized."""
     if k < 1:
         raise ValueError(f"edge count must be >= 1, got {k}")
     if 1 not in _catalog:
@@ -87,40 +91,52 @@ def connected_catalog(k: int) -> list[tuple[Graph, int]]:
         _catalog[1] = [(k2, 1)]
     level = max(_catalog)
     while level < k:
-        seen: dict[str, Graph] = {}
+        seen: dict[tuple[int, ...], Graph] = {}
         for g, _ in _catalog[level]:
-            for h, e in _augmentations(g):
-                if _deletion_is_canonical(h, e):
-                    h = canonical_graph(h)
-                    seen.setdefault(to_graph6(h), h)
-        _catalog[level + 1] = [
-            (seen[form], matching_number(seen[form])) for form in sorted(seen)
-        ]
+            for adj, deg, e in _augmentations(g):
+                if _deletion_is_canonical(adj, deg, e):
+                    h = canonical_graph(Graph(len(adj), tuple(adj)))
+                    seen.setdefault(h._adj, h)
+        kept = sorted(seen.values(), key=to_graph6)
+        _catalog[level + 1] = [(h, matching_number(h)) for h in kept]
         level += 1
     return _catalog[k]
 
 
-def _augmentations(g: Graph) -> Iterator[tuple[Graph, tuple[int, int]]]:
-    """Every g + e with e joining two non-adjacent vertices or hanging a new
-    leaf, paired with e."""
-    leafed = g.add_vertices(1)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                yield g.add_edge((u, v)), (u, v)
-        yield leafed.add_edge((u, g.n)), (u, g.n)
+def _augmentations(g: Graph) -> Iterator[tuple[list[int], list[int], tuple[int, int]]]:
+    """Adjacency masks and degrees of every g + e, with e joining two
+    non-adjacent vertices or hanging a new leaf, paired with e."""
+    n = g.n
+    masks = [g.neighbors_mask(v) for v in range(n)]
+    degrees = [a.bit_count() for a in masks]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not masks[u] >> v & 1:
+                adj = masks.copy()
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                deg = degrees.copy()
+                deg[u] += 1
+                deg[v] += 1
+                yield adj, deg, (u, v)
+    for u in range(n):
+        adj = masks + [1 << u]
+        adj[u] |= 1 << n
+        deg = degrees + [1]
+        deg[u] += 1
+        yield adj, deg, (u, n)
 
 
-def _deletion_is_canonical(h: Graph, e: tuple[int, int]) -> bool:
+def _deletion_is_canonical(adj: list[int], deg: list[int], e: tuple[int, int]) -> bool:
     """Whether e has the largest sorted endpoint degrees among the deletable
-    edges of h, those at a leaf or on a cycle.
+    edges of the graph with adjacency masks `adj` and degrees `deg`, those at
+    a leaf or on a cycle.
 
-    e is deletable, since h - e is the connected parent.  The key is an
-    isomorphism invariant, so h is still reached from the parent h - e* for
-    any maximizing e*.  Only edges whose degree pair beats that of e are
-    tested for deletability.
+    e is deletable, since removing it leaves the connected parent.  The key
+    is an isomorphism invariant, so the graph is still reached from the
+    parent without e* for any maximizing e*.  Only edges whose degree pair
+    beats that of e are tested for deletability.
     """
-    deg = [h.degree(v) for v in range(h.n)]
     a, b = sorted((deg[e[0]], deg[e[1]]))
     above_a = above_b = 0
     for v, d in enumerate(deg):
@@ -131,28 +147,28 @@ def _deletion_is_canonical(h: Graph, e: tuple[int, int]) -> bool:
     # a pair beats (a, b) with both ends above a, or one end at a, one above b
     for u, d in enumerate(deg):
         if d == a:
-            rivals = h.neighbors_mask(u) & above_b
+            rivals = adj[u] & above_b
         elif d > a:
-            rivals = h.neighbors_mask(u) & above_a >> (u + 1) << (u + 1)
+            rivals = adj[u] & above_a >> (u + 1) << (u + 1)
         else:
             continue
         for v in _bits(rivals):
-            if d == 1 or not _is_bridge(h, u, v):
+            if d == 1 or not _is_bridge(adj, u, v):
                 return False
     return True
 
 
-def _is_bridge(h: Graph, u: int, v: int) -> bool:
-    """Whether removing the edge uv disconnects u from v."""
+def _is_bridge(adj: list[int], u: int, v: int) -> bool:
+    """Whether removing the edge uv disconnects u from v, on adjacency masks."""
     reach = 1 << u
-    frontier = h.neighbors_mask(u) & ~(1 << v)
+    frontier = adj[u] & ~(1 << v)
     while frontier:
         if frontier >> v & 1:
             return False
         reach |= frontier
         nxt = 0
         for w in _bits(frontier):
-            nxt |= h.neighbors_mask(w)
+            nxt |= adj[w]
         frontier = nxt & ~reach
     return True
 
@@ -269,7 +285,8 @@ def hill_climb(
     with no blossom search.  Among the moves that raise q by more than the
     solver margin and whose q_after lies within Q_MARGIN of the largest, it
     applies the least (move, detail), so exact ties between symmetric moves
-    are not decided by solver rounding.  The step records the graph and
+    are not decided by solver rounding; only the moves in that band get a
+    detail string.  The step records the graph and
     radius from that batch; nothing is solved again.  Stops at a local
     maximum or after max_steps (nonnegative); the trace records whether the
     endpoint is isomorphic to one of the predicted maximizers for the class.
@@ -289,21 +306,25 @@ def hill_climb(
     for _ in range(max_steps):
         spectrum = q_radius(current)
         moves = [
-            (move, move_detail(removed, added), current.rewire(removed, added))
+            (move, removed, added, current.rewire(removed, added))
             for move, removed, added in candidate_moves(current, spectrum.x)
             if query.admits(matched.rewired_matching_number(removed, added))
         ]
         gains = [
             (q_after, move)
-            for q_after, move in zip(q_radii([h for _, _, h in moves]), moves)
+            for q_after, move in zip(q_radii([h for *_, h in moves]), moves)
             if q_after > spectrum.q + ROTATION_MARGIN
         ]
         if not gains:
             break
         top = max(q_after for q_after, _ in gains)
-        q_after, (move, detail, current) = min(
-            (gain for gain in gains if gain[0] >= top - Q_MARGIN),
-            key=lambda gain: gain[1][:2],
+        move, detail, q_after, current = min(
+            (
+                (move, move_detail(removed, added), q_after, h)
+                for q_after, (move, removed, added, h) in gains
+                if q_after >= top - Q_MARGIN
+            ),
+            key=lambda tied: tied[:2],
         )
         steps.append(ClimbStep(move, detail, spectrum.q, q_after, to_graph6(current)))
         matched = MatchedGraph(current)

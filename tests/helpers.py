@@ -4,10 +4,10 @@ Each oracle takes a code path disjoint from the library's: graph6 encoding by
 naive bit-list packing, matching number by exhaustive memoized edge-branching,
 spectral radius by power iteration (and, as a second route, by a dense
 eigenvalue-only solve), class enumeration by labeled edge-set recursion,
-canonical labeling by individualization-refinement without twin pruning, the
-connected catalog by canonicalizing every augmentation, and the extremal
-matching by a whole-graph scan.  Agreement between routes is what the tests
-buy.
+canonical labeling by individualization-refinement without twin pruning on a
+whole-graph color refinement, the connected catalog by canonicalizing every
+augmentation, and the extremal matching by a whole-graph scan.  Agreement
+between routes is what the tests buy.
 """
 
 from __future__ import annotations
@@ -228,6 +228,31 @@ def permutations_of(draw, n: int) -> list[int]:
     return draw(st.permutations(list(range(n))))
 
 
+def oracle_refine(adj: list[int], colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Color refinement over the whole graph: each round ranks every vertex
+    by (color, sorted neighbor colors) among all such pairs, until the
+    colors repeat."""
+    n = len(colors)
+    while True:
+        sigs = []
+        for v in range(n):
+            neigh = sorted(colors[u] for u in _graphs._bits(adj[v]))
+            sigs.append((colors[v], tuple(neigh)))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(rank[s] for s in sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def oracle_individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """v alone in its own cell, just before the rest of its old cell."""
+    cv = colors[v]
+    return tuple(
+        c + 1 if (c > cv or (c == cv and u != v)) else c for u, c in enumerate(colors)
+    )
+
+
 def oracle_canonical_order(g: Graph) -> list[int]:
     """Canonical order of a connected graph by individualization-refinement,
     pruned only by automorphisms found at key-equal leaves (no twin pruning).
@@ -271,10 +296,9 @@ def oracle_canonical_order(g: Graph) -> list[int]:
             ):
                 continue
             tried.add(v)
-            refined = _graphs._refine(adj, _graphs._individualize(colors, v))
-            search(refined, fixed + (v,))
+            search(oracle_refine(adj, oracle_individualize(colors, v)), fixed + (v,))
 
-    search(_graphs._refine(adj, (0,) * n), ())
+    search(oracle_refine(adj, (0,) * n), ())
     assert best_perm is not None
     return best_perm
 

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,3 +412,35 @@ class TestPlumbing:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, monkeypatch):
+        # main reuses one parser; no call may leave state for the next
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        sequence = [
+            ["beta", C5],
+            ["extremal", "--m", "5"],
+            ["q", K2],
+            ["--help"],
+            ["climb", "--start", C5, "--m", "5", "--beta", "2", "--at-least"],
+            ["beta", C5, P4, "--output", "OUT"],
+            ["climb", "--start", C5, "--m", "5", "--beta", "2", "--max-steps", "-1"],
+            ["verify", "--m", "4", "--beta", "2", "--format", "csv"],
+            ["beta", C5],
+        ]
+        for i, argv in enumerate(sequence):
+            mine, fresh = tmp_path / f"in{i}.txt", tmp_path / f"fresh{i}.txt"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(mine) if a == "OUT" else a for a in argv])
+            proc = subprocess.run(
+                [sys.executable, "-m", "qspex.cli"]
+                + [str(fresh) if a == "OUT" else a for a in argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (code, out.getvalue(), err.getvalue()) == (
+                proc.returncode, proc.stdout, proc.stderr
+            ), argv
+            if "OUT" in argv:
+                assert mine.read_text() == fresh.read_text() == "Dhc\t2\nCh\t2\n"

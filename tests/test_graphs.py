@@ -4,8 +4,9 @@ import time
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qspex import graphs as _graphs
 from qspex.graphs import (
     GRAPH6_MAX_N,
     Graph,
@@ -27,8 +28,11 @@ from helpers import (
     family_graphs,
     graphs,
     oracle_canonical_graph,
+    oracle_individualize,
+    oracle_refine,
     ref_graph6_encode,
     rewirings,
+    sparse_graphs,
     star_like_graphs,
 )
 
@@ -182,6 +186,43 @@ class TestComponents:
         assert seen == list(range(g.n))
 
 
+@st.composite
+def colored_graphs(draw) -> tuple[list[int], tuple[int, ...]]:
+    """(adjacency masks, colors): one color for all, any colors from 0..n,
+    gaps included, or one vertex of the refined coloring individualized."""
+    g = draw(
+        st.one_of(graphs(max_n=10), sparse_graphs(), star_like_graphs(), cubic_like_graphs())
+    )
+    adj = [g.neighbors_mask(v) for v in range(g.n)]
+    kind = draw(st.sampled_from(["uniform", "any", "individualized"]))
+    if kind == "any":
+        colors = tuple(draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n)))
+    elif kind == "individualized" and g.n:
+        v = draw(st.integers(0, g.n - 1))
+        colors = oracle_individualize(oracle_refine(adj, (0,) * g.n), v)
+    else:
+        colors = (0,) * g.n
+    return adj, colors
+
+
+class TestRefine:
+    @settings(max_examples=300)
+    @given(colored_graphs())
+    def test_equals_whole_graph_refinement(self, case):
+        # splitting cells locally gives the colors of ranking (color,
+        # neighbor colors) over the whole graph, numbering included
+        adj, colors = case
+        assert _graphs._refine(adj, colors) == oracle_refine(adj, colors)
+
+    def test_pieces_of_a_cell_follow_their_signatures(self):
+        # the path 2-0-1-3: its leaves have the lesser signature (0,), so
+        # they take color 0 though a middle vertex comes first
+        path = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3)])
+        assert _graphs._refine(path._adj, (0, 0, 0, 0)) == (1, 1, 0, 0)
+        # colors with a gap are numbered densely first
+        assert _graphs._refine(path._adj, (5, 5, 5, 2)) == (3, 1, 2, 0)
+
+
 class TestCanonical:
     @given(graphs(min_n=1, max_n=9), st.data())
     def test_invariant_under_relabeling(self, g, data):
@@ -252,7 +293,10 @@ class TestCanonical:
         assert canonical_graph(a) == canonical_graph(b)
 
     @given(
-        st.one_of(graphs(max_n=9), star_like_graphs(), family_graphs(), cubic_like_graphs())
+        st.one_of(
+            graphs(max_n=9), sparse_graphs(), star_like_graphs(), family_graphs(),
+            cubic_like_graphs(),
+        )
     )
     def test_twin_pruning_keeps_the_canonical_graph(self, g):
         # the search without twin pruning visits a superset of leaves, and
