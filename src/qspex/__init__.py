@@ -5,7 +5,6 @@ desk-scale verification."""
 
 from .graphs import (
     GRAPH6_MAX_N,
-    ComponentDecomposition,
     Graph,
     Graph6Error,
     canonical_form,
@@ -62,6 +61,7 @@ from .search import (
     ClimbTrace,
     EnumerationQuery,
     brute_force_max,
+    class_size,
     connected_catalog,
     enumerate_graphs,
     hill_climb,

@@ -51,7 +51,8 @@ class CliConfig:
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
-    guard = getattr(args, "guard", None)
+    # only enumerate and verify take a guard; the others never read QSPEX_GUARD
+    guard = getattr(args, "guard", DEFAULT_GUARD)
     if guard is None:
         env = os.environ.get("QSPEX_GUARD")
         if env is None:

@@ -8,7 +8,6 @@ are immutable; edits return new objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 62
@@ -201,24 +200,12 @@ def from_graph6(text: str | bytes) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+def components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
     """Connected components as (induced subgraph, original-vertex tuple) pairs.
 
     Parts appear in order of their smallest original vertex, and each part's
     vertex tuple is ascending, so the decomposition is deterministic.
     """
-
-    parts: tuple[tuple[Graph, tuple[int, ...]], ...]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
-def components(g: Graph) -> ComponentDecomposition:
     seen = 0
     parts = []
     for v in range(g.n):
@@ -236,7 +223,7 @@ def components(g: Graph) -> ComponentDecomposition:
         verts = tuple(_bits(comp))
         # a connected g is its own part; Graph is immutable, so no copy
         parts.append((g if len(verts) == g.n else induced_subgraph(g, verts), verts))
-    return ComponentDecomposition(tuple(parts))
+    return tuple(parts)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
@@ -432,7 +419,7 @@ def canonical_graph(g: Graph) -> Graph:
     """A canonically labeled copy: equal outputs exactly for isomorphic inputs."""
     decomp = components(g)
     if len(decomp) == 1:
-        return _connected_canonical(decomp.parts[0][0])
+        return _connected_canonical(decomp[0][0])
     parts = [_connected_canonical(part) for part, _ in decomp]
     parts.sort(key=part_sort_key)
     return union_all(parts)

@@ -2,9 +2,10 @@
 q-maximization, and a rewiring hill climber.
 
 Graphs are generated without isolated vertices as multisets of connected
-pieces drawn from a catalog of connected graphs by edge count.  Matching
-number adds over pieces and the radius is the max over pieces, so class
-constraints transfer to the composition.
+pieces drawn from a catalog of connected graphs by edge count.  Edge count
+and matching number add over pieces, so one table indexed by both, grown to
+the largest edge count asked for, holds every class.  The radius is the max
+over pieces, so maximization solves each catalog graph once.
 
 The catalog grows by edge/leaf augmentation: every connected graph h with
 k+1 edges arises from a connected graph with k edges by adding an edge
@@ -173,51 +174,52 @@ def _is_bridge(adj: list[int], u: int, v: int) -> bool:
     return True
 
 
-def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> list[Graph]:
-    """All graphs (no isolated vertices, canonical labels) with m edges in the
-    query class, sorted by canonical form.
+# _table[k][b]: every multiset of pieces with k edges and matching number b,
+# as a nondecreasing tuple of indices into _pieces, the catalog graphs in
+# catalog order with their edge counts and matching numbers; _radii: q by piece
+_pieces: list[tuple[Graph, int, int]] = []
+_table: list[list[list[tuple[int, ...]]]] = [[[()]]]
+_radii: dict[int, float] = {}
 
-    Components are chosen as a non-decreasing sequence of catalog indices, so
-    each multiset of connected pieces appears exactly once; distinct multisets
-    give non-isomorphic unions because component decomposition is an
-    isomorphism invariant.
-    """
+
+def _members(query: EnumerationQuery, guard: int) -> list[tuple[int, ...]]:
+    """The table's multisets with query.m edges and a matching number the
+    query admits.  Row k appends each piece p to the multisets of k - edges(p)
+    edges whose pieces all precede or equal p, so makes each multiset once."""
     if query.m > guard:
         raise ValueError(
             f"edge count {query.m} exceeds the enumeration guard {guard};"
             " raise the guard explicitly to go bigger"
         )
-    flat: list[tuple[int, Graph, int]] = []
-    for k in range(1, query.m + 1):
-        for g, beta in connected_catalog(k):
-            flat.append((k, g, beta))
+    while len(_table) <= query.m:
+        k = len(_table)
+        _pieces.extend((g, k, beta) for g, beta in connected_catalog(k))
+        row: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
+        for p, (_, edges, beta) in enumerate(_pieces):
+            for b, rest in enumerate(_table[k - edges]):
+                row[b + beta].extend(t + (p,) for t in rest if not t or t[-1] <= p)
+        _table.append(row)
+    return [t for b, rows in enumerate(_table[query.m]) if query.admits(b) for t in rows]
 
-    out: list[Graph] = []
-    chosen: list[Graph] = []
 
-    def rec(budget: int, beta_sum: int, start: int) -> None:
-        if budget == 0:
-            if query.admits(beta_sum):
-                # parts are canonical and get the same ordering canonical_graph
-                # uses, so the union is already canonically labeled
-                parts = sorted(chosen, key=part_sort_key)
-                out.append(union_all(parts))
-            return
-        if query.mode == "exact" and beta_sum + budget < query.beta:
-            return  # even all-K2 pieces cannot reach the target matching number
-        for i in range(start, len(flat)):
-            k, g, beta = flat[i]
-            if k > budget:
-                break
-            if query.mode == "exact" and beta_sum + beta > query.beta:
-                continue
-            chosen.append(g)
-            rec(budget - k, beta_sum + beta, i)
-            chosen.pop()
+def _union(member: tuple[int, ...]) -> Graph:
+    # pieces are canonical and get the same ordering canonical_graph uses, so
+    # the union is already canonically labeled
+    return union_all(sorted((_pieces[p][0] for p in member), key=part_sort_key))
 
-    rec(query.m, 0, 0)
-    out.sort(key=to_graph6)
-    return out
+
+def class_size(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> int:
+    """Number of graphs in the query class, read off the table without
+    building any of them."""
+    return len(_members(query, guard))
+
+
+def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> list[Graph]:
+    """All graphs (no isolated vertices, canonical labels) with m edges in the
+    query class, sorted by canonical form: the unions of the table's
+    multisets, non-isomorphic since component decomposition is an
+    isomorphism invariant.  No radius is solved."""
+    return sorted(map(_union, _members(query, guard)), key=to_graph6)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +229,8 @@ def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> lis
 
 def max_radius_over(graphs: list[Graph]) -> tuple[float, list[Graph]]:
     """Max q over a fixed graph list, keeping every graph within ARGMAX_BAND
-    of the best.  Order-preserving and deterministic."""
+    of the best.  Order-preserving and deterministic.  Kept for callers that
+    use this name; brute_force_max solves catalog pieces instead."""
     if not graphs:
         raise ValueError("empty graph list")
     radii = q_radii(graphs)
@@ -239,15 +242,21 @@ def max_radius_over(graphs: list[Graph]) -> tuple[float, list[Graph]]:
 def brute_force_max(
     query: EnumerationQuery, guard: int = DEFAULT_GUARD
 ) -> tuple[float, list[Graph]]:
-    """Max spectral radius over the query class, with every attaining graph."""
+    """Max spectral radius over the query class, with every graph within
+    ARGMAX_BAND of it in canonical form order.  A member's radius is the max
+    over its pieces, each solved once; only the argmax is built as graphs.
+    For 1 <= beta <= m the class holds K1,(m-beta+1) + (beta-1)K2."""
     if query.m < query.beta:
         raise ValueError(
             f"empty class: no graph has {query.m} edges and matching number {query.beta}"
         )
-    graphs = enumerate_graphs(query, guard=guard)
-    if not graphs:
-        raise ValueError(f"empty class for {query!r}")
-    return max_radius_over(graphs)
+    members = _members(query, guard)
+    unsolved = sorted({p for t in members for p in t}.difference(_radii))
+    _radii.update(zip(unsolved, q_radii([_pieces[p][0] for p in unsolved])))
+    radii = [max(_radii[p] for p in t) for t in members]
+    best = max(radii)
+    argmax = [_union(t) for t, q in zip(members, radii) if q >= best - ARGMAX_BAND]
+    return best, sorted(argmax, key=to_graph6)
 
 
 # ---------------------------------------------------------------------------

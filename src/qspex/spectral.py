@@ -11,8 +11,9 @@ top eigenvalue, so there the check certifies q(G) itself; the radius of a
 disconnected graph is the max over components, reported with an eigenvector
 supported on one extremal component and zero elsewhere.  `q_radii` returns
 radii alone, solving many whole graphs per batched call without a component
-split: on a disconnected graph its check certifies an eigenpair, and that the
-eigenvalue is the top one rests on eigh's ascending order.
+split.  Verdict radii come from it on connected graphs only; on the
+climber's disconnected graphs that the eigenvalue is the top one rests on
+eigh's ascending order.
 """
 
 from __future__ import annotations
@@ -140,11 +141,12 @@ def q_radii(graphs: Sequence[Graph]) -> list[float]:
     """q(G) for each graph, without eigenvectors, within RESIDUAL_TOL.
 
     The top eigenvalue of the whole Q(G) is already the max over components,
-    so no component split is made; on a disconnected graph the residual check
-    therefore certifies an eigenpair, and its being the top one comes from
-    eigh's ordering (see the module docstring).  Graphs with the same vertex
-    count are stacked, at most 128 to one eigh call; a graph without edges
-    gets 0.0.  Agrees with q_radius(g).q to rounding.
+    so no component split is made.  Verdict radii come from here on connected
+    catalog pieces (search.brute_force_max), where the check certifies the
+    top eigenvalue; only the climber passes disconnected graphs, on which the
+    certified eigenpair is the top one by eigh's ordering.  Graphs with the
+    same vertex count are stacked, at most 128 to one eigh call; a graph
+    without edges gets 0.0.  Agrees with q_radius(g).q to rounding.
     """
     radii = [0.0] * len(graphs)
     by_n: dict[int, list[int]] = {}

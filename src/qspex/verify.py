@@ -1,8 +1,9 @@
 """Exhaustive verification of the extremal claim, plus the structural
 eigenvector checks that the rewiring argument leans on.
 
-verify_theorem1(m, beta) enumerates the whole class (exact matching number),
-maximizes q by brute force, and compares winners and value against
+verify_theorem1(m, beta) counts the whole class (exact matching number),
+maximizes q over it by brute force (search.brute_force_max, which solves
+each connected piece once), and compares winners and value against
 family.predicted_maximizers — two independent routes to the same graphs.
 One route serves every beta >= 1; for beta = 1 the prediction is the star,
 plus the triangle at m = 3, and the report carries no family parameters.
@@ -29,7 +30,7 @@ from typing import Optional
 from .family import FamilyParams, extremal_params, predicted_maximizers
 from .graphs import Graph, canonical_graph, induced_subgraph, to_graph6
 from .matching import Matching, OrderedMatching, extremal_matching, proper_ordering
-from .search import DEFAULT_GUARD, EnumerationQuery, enumerate_graphs, max_radius_over
+from .search import DEFAULT_GUARD, EnumerationQuery, brute_force_max, class_size
 from .spectral import SpectralData, q_radius
 
 LEMMA_MARGIN = 1e-10
@@ -159,9 +160,8 @@ def verify_theorem1(
         )
     t0 = time.perf_counter()
     query = EnumerationQuery(m, beta, "exact")
-    graphs = enumerate_graphs(query, guard=guard)
-    classes = len(graphs)
-    qmax, argmax = max_radius_over(graphs)
+    classes = class_size(query, guard)
+    qmax, argmax = brute_force_max(query, guard)
     got = tuple(to_graph6(g) for g in argmax)  # canonical, in graph6 order
     predicted = sorted(
         (canonical_graph(g) for g in predicted_maximizers(m, beta)), key=to_graph6

@@ -3,11 +3,12 @@
 Each oracle takes a code path disjoint from the library's: graph6 encoding by
 naive bit-list packing, matching number by exhaustive memoized edge-branching,
 spectral radius by power iteration (and, as a second route, by a dense
-eigenvalue-only solve), class enumeration by labeled edge-set recursion,
-canonical labeling by individualization-refinement without twin pruning on a
-whole-graph color refinement, the connected catalog by canonicalizing every
-augmentation, and the extremal matching by a whole-graph scan.  Agreement
-between routes is what the tests buy.
+eigenvalue-only solve), class maxima by solving every union as one matrix,
+class enumeration by labeled edge-set recursion, canonical labeling by
+individualization-refinement without twin pruning on a whole-graph color
+refinement, the connected catalog by canonicalizing every augmentation, and
+the extremal matching by a whole-graph scan.  Agreement between routes is
+what the tests buy.
 """
 
 from __future__ import annotations
@@ -77,6 +78,18 @@ def oracle_q_radius(g: Graph) -> float:
     if g.m == 0:
         return 0.0
     return float(np.linalg.eigvalsh(ref_q_matrix(g)).max())
+
+
+def oracle_brute_force_max(query) -> tuple[float, list[str]]:
+    """Max of oracle_q_radius over every union that enumerate_graphs returns,
+    each solved as one whole (possibly disconnected) matrix, with the graph6
+    of every union within ARGMAX_BAND of it, in enumeration order."""
+    from qspex.search import ARGMAX_BAND, enumerate_graphs
+
+    graphs = enumerate_graphs(query)
+    radii = [oracle_q_radius(g) for g in graphs]
+    best = max(radii)
+    return best, [to_graph6(g) for g, q in zip(graphs, radii) if q >= best - ARGMAX_BAND]
 
 
 def q_gap(g: Graph) -> float:

@@ -186,6 +186,16 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--m", "5", "--beta", "2", "--guard", "5")
         assert code == 0 and out
 
+    @pytest.mark.parametrize("env", ["abc", "99"])
+    def test_only_guarded_commands_read_the_env(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("QSPEX_GUARD", env)
+        code, out, err = run(capsys, "q", C5)
+        assert code == 0 and out.startswith("4\t") and err == ""
+        code, out, err = run(capsys, "beta", C5)
+        assert (code, out, err) == (0, "2\n", "")
+        code, _, err = run(capsys, "enumerate", "--m", "3", "--beta", "1")
+        assert code == 2 and "guard" in err.lower()
+
 
 class TestVerify:
     def test_pass_json(self, capsys):

@@ -176,8 +176,8 @@ class TestComponents:
 
     def test_connected_graph_is_its_own_part(self):
         decomp = components(P4)
-        assert len(decomp) == 1 and decomp.parts[0][0] is P4
-        assert decomp.parts[0][1] == (0, 1, 2, 3)
+        assert len(decomp) == 1 and decomp[0][0] is P4
+        assert decomp[0][1] == (0, 1, 2, 3)
 
     @given(graphs(max_n=9))
     def test_component_sizes_partition_vertices(self, g):

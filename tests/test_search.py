@@ -13,20 +13,27 @@ from qspex.graphs import (
     strip_isolated,
     to_graph6,
 )
-from qspex import search
+from qspex import search, spectral
 from qspex.matching import matching_number
 from qspex.search import (
     ClimbTrace,
     EnumerationQuery,
     brute_force_max,
+    class_size,
     connected_catalog,
     enumerate_graphs,
     hill_climb,
     max_radius_over,
 )
 from qspex.spectral import q_radius
+from qspex.verify import verify_theorem1
 
-from helpers import oracle_class_forms, oracle_connected_catalog, random_graph
+from helpers import (
+    oracle_brute_force_max,
+    oracle_class_forms,
+    oracle_connected_catalog,
+    random_graph,
+)
 
 # connected graphs by edge count, no isolated vertices (k = 1..10)
 CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322]
@@ -166,6 +173,76 @@ class TestBruteForce:
     def test_max_radius_over_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             max_radius_over([])
+
+
+@pytest.fixture
+def empty_search(monkeypatch):
+    """search with no catalog, no class table and no solved radii."""
+    monkeypatch.setattr(search, "_catalog", {})
+    monkeypatch.setattr(search, "_pieces", [])
+    monkeypatch.setattr(search, "_table", [[[()]]])
+    monkeypatch.setattr(search, "_radii", {})
+
+
+def assert_matches_union_oracle(query):
+    qmax, argmax = brute_force_max(query)
+    want_q, want_argmax = oracle_brute_force_max(query)
+    assert qmax == pytest.approx(want_q, abs=1e-9)
+    assert [to_graph6(g) for g in argmax] == want_argmax
+    assert class_size(query) == len(enumerate_graphs(query))
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_matches_brute_force_over_unions(self, m):
+        for mode in ("exact", "at_least"):
+            for beta in range(1, m + 1):
+                assert_matches_union_oracle(EnumerationQuery(m, beta, mode))
+
+    def test_larger_edge_count_first(self, empty_search, monkeypatch):
+        # a table grown for m = 9 serves m = 4; grown again on a catalog
+        # regrown from nothing, its earlier rows stay valid
+        for m, beta in [(9, 3), (4, 2), (4, 1)]:
+            assert_matches_union_oracle(EnumerationQuery(m, beta, "exact"))
+        assert len(search._table) == 10
+        monkeypatch.setattr(search, "_catalog", {})
+        for m, beta in [(10, 3), (9, 3), (4, 2)]:
+            assert_matches_union_oracle(EnumerationQuery(m, beta, "exact"))
+        assert len(search._table) == 11
+
+    def test_empty_and_guarded_classes(self):
+        assert class_size(EnumerationQuery(2, 3)) == 0
+        assert class_size(EnumerationQuery(3, 3, "at_least")) == 1  # 3K2
+        with pytest.raises(ValueError, match="guard"):
+            class_size(EnumerationQuery(8, 2), guard=7)
+
+    def test_each_piece_is_solved_once(self, empty_search, monkeypatch):
+        eigensolves = []
+
+        def counted_top_pairs(qs, tol):
+            eigensolves.append(len(qs))
+            return top_pairs(qs, tol)
+
+        top_pairs = spectral._top_pairs
+        monkeypatch.setattr(spectral, "_top_pairs", counted_top_pairs)
+        for m in range(1, 9):
+            for beta in range(1, m + 1):
+                enumerate_graphs(EnumerationQuery(m, beta, "exact"))
+        assert eigensolves == []  # listing a class solves nothing
+
+        solved = []
+
+        def counted_q_radii(graphs):
+            solved.extend(to_graph6(g) for g in graphs)
+            return radii(graphs)
+
+        radii = search.q_radii
+        monkeypatch.setattr(search, "q_radii", counted_q_radii)
+        for m in range(1, 9):
+            for beta in range(1, m + 1):
+                assert verify_theorem1(m, beta).verdict == "pass"
+        catalog = [to_graph6(g) for k in range(1, 9) for g, _ in connected_catalog(k)]
+        assert sorted(solved) == sorted(catalog)
 
 
 class TestHillClimb:
