@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 62
+_G6_BITS = {63 + d: format(d, "06b") for d in range(64)}  # body byte -> its six bits
 
 
 class Graph6Error(ValueError):
@@ -174,24 +175,24 @@ def from_graph6(text: str | bytes) -> Graph:
         raise Graph6Error(f"truncated bit body: expected {nbytes} bytes, got {len(body)}")
     if len(body) > nbytes:
         raise Graph6Error(f"trailing garbage: {len(body) - nbytes} byte(s) past the bit body")
-    bits = 0
-    for ch in body:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise Graph6Error(f"invalid body byte {o}: outside graph6 range 63..126")
-        bits = bits << 6 | (o - 63)
-    pad = 6 * nbytes - nbits
-    if bits & ((1 << pad) - 1):
+    bits = body.translate(_G6_BITS)
+    if len(bits) != 6 * nbytes:  # a byte outside 63..126 is left as one char
+        o = next(o for o in map(ord, body) if not 63 <= o <= 126)
+        raise Graph6Error(f"invalid body byte {o}: outside graph6 range 63..126")
+    # read backwards, the bits fill a number from its low bit up: column v, the
+    # pairs (u, v) with u < v, in the next v bits, bit u for (u, v); then padding
+    x = int(bits[::-1] or "0", 2)
+    if x >> nbits:
         raise Graph6Error("trailing garbage: nonzero padding bits")
-    bits >>= pad
     adj = [0] * n
-    pos = nbits
     for v in range(1, n):
-        for u in range(v):
-            pos -= 1
-            if bits >> pos & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+        col = adj[v] = x & ((1 << v) - 1)
+        x >>= v
+        bit = 1 << v
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(adj))
 
 

@@ -3,9 +3,10 @@ q-maximization, and a rewiring hill climber.
 
 Graphs are generated without isolated vertices as multisets of connected
 pieces drawn from a catalog of connected graphs by edge count.  Edge count
-and matching number add over pieces, so one table indexed by both, grown to
-the largest edge count asked for, holds every class.  The radius is the max
-over pieces, so maximization solves each catalog graph once.
+and matching number add over pieces and the radius is their max, so pieces
+are grouped into cells (k, b) by both: class sizes are the Euler transform of
+the cell sizes, a class maximum is the best cell maximum Qc(k, b) whose
+remainder class is non-empty, and only the argmax and one class are built.
 
 The catalog grows by edge/leaf augmentation: every connected graph h with
 k+1 edges arises from a connected graph with k edges by adding an edge
@@ -30,6 +31,10 @@ blossom run on the rewired graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations_with_replacement, groupby
+from operator import itemgetter
+from math import comb
 from typing import Iterator
 
 from .family import predicted_maximizers
@@ -174,52 +179,76 @@ def _is_bridge(adj: list[int], u: int, v: int) -> bool:
     return True
 
 
-# _table[k][b]: every multiset of pieces with k edges and matching number b,
-# as a nondecreasing tuple of indices into _pieces, the catalog graphs in
-# catalog order with their edge counts and matching numbers; _radii: q by piece
-_pieces: list[tuple[Graph, int, int]] = []
-_table: list[list[list[tuple[int, ...]]]] = [[[()]]]
-_radii: dict[int, float] = {}
+# _levels[k]: radii of connected_catalog(k) in catalog order, solved in one batch
+# when a class first needs level k, and Qc(k, b) by b; _cells: pieces of levels
+# 1..M (M the largest m asked for) in cells (k, b) ordered by k, then b.
+_levels: dict[int, tuple[list[float], dict[int, float]]] = {}
+_cells: list[tuple[int, int, list[Graph]]] = []
 
 
-def _members(query: EnumerationQuery, guard: int) -> list[tuple[int, ...]]:
-    """The table's multisets with query.m edges and a matching number the
-    query admits.  Row k appends each piece p to the multisets of k - edges(p)
-    edges whose pieces all precede or equal p, so makes each multiset once."""
+def _level(k: int) -> tuple[list[float], dict[int, float]]:
+    if k not in _levels:
+        catalog = connected_catalog(k)
+        radii = q_radii([g for g, _ in catalog])
+        # in ascending order, the last radius kept for each b is the cell maximum
+        _levels[k] = radii, dict(sorted((b, q) for (_, b), q in zip(catalog, radii)))
+    return _levels[k]
+
+
+def _bounds(query: EnumerationQuery, guard: int) -> tuple[int, int]:
+    """The query's range of matching numbers, once _cells reach query.m."""
     if query.m > guard:
-        raise ValueError(
-            f"edge count {query.m} exceeds the enumeration guard {guard};"
-            " raise the guard explicitly to go bigger"
-        )
-    while len(_table) <= query.m:
-        k = len(_table)
-        _pieces.extend((g, k, beta) for g, beta in connected_catalog(k))
-        row: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
-        for p, (_, edges, beta) in enumerate(_pieces):
-            for b, rest in enumerate(_table[k - edges]):
-                row[b + beta].extend(t + (p,) for t in rest if not t or t[-1] <= p)
-        _table.append(row)
-    return [t for b, rows in enumerate(_table[query.m]) if query.admits(b) for t in rows]
+        raise ValueError(f"edge count {query.m} exceeds the enumeration guard {guard};"
+                         " raise the guard explicitly to go bigger")
+    for k in range(_cells[-1][0] + 1 if _cells else 1, query.m + 1):
+        level = sorted(connected_catalog(k), key=itemgetter(1))  # stable
+        _cells.extend((k, b, [g for g, _ in cell]) for b, cell in groupby(level, itemgetter(1)))
+    return query.beta, query.beta if query.mode == "exact" else query.m
 
 
-def _union(member: tuple[int, ...]) -> Graph:
-    # pieces are canonical and get the same ordering canonical_graph uses, so
-    # the union is already canonically labeled
-    return union_all(sorted((_pieces[p][0] for p in member), key=part_sort_key))
+@cache
+def _count(r: int, lo: int, hi: int, c: int) -> int:
+    """Multisets of pieces from cells 0..c with r edges and matching number in
+    lo..hi, the Euler transform of the cell sizes: j of n pieces in comb(n+j-1, j) ways."""
+    if c < 0 or hi < 0:
+        return int(r == 0 and lo <= 0 <= hi)
+    k, b, pieces = _cells[c]
+    return sum(
+        comb(len(pieces) + j - 1, j) * _count(r - j * k, lo - j * b, hi - j * b, c - 1)
+        for j in range(r // k + 1)
+    )
+
+
+def _walk(r: int, lo: int, hi: int, c: int) -> Iterator[tuple[Graph, ...]]:
+    """The multisets that _count counts, by last cell and its multiplicity, each
+    taken only if the cells before can make up the rest: no branch comes up empty."""
+    if not r:
+        yield ()
+        return
+    for c in range(c, -1, -1):
+        k, b, pieces = _cells[c]
+        for j in range(1, r // k + 1):
+            if _count(r - j * k, lo - j * b, hi - j * b, c - 1):
+                for rest in _walk(r - j * k, lo - j * b, hi - j * b, c - 1):
+                    for chosen in combinations_with_replacement(pieces, j):
+                        yield chosen + rest
+
+
+def _union(pieces: tuple[Graph, ...]) -> Graph:
+    # canonical pieces in canonical_graph's order: the union is canonically labeled
+    return union_all(sorted(pieces, key=part_sort_key))
 
 
 def class_size(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> int:
-    """Number of graphs in the query class, read off the table without
-    building any of them."""
-    return len(_members(query, guard))
+    """Size of the query class, read off the counts without building a member."""
+    return _count(query.m, *_bounds(query, guard), len(_cells) - 1)
 
 
 def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> list[Graph]:
     """All graphs (no isolated vertices, canonical labels) with m edges in the
-    query class, sorted by canonical form: the unions of the table's
-    multisets, non-isomorphic since component decomposition is an
-    isomorphism invariant.  No radius is solved."""
-    return sorted(map(_union, _members(query, guard)), key=to_graph6)
+    query class, sorted by canonical form; no radius is solved."""
+    members = _walk(query.m, *_bounds(query, guard), len(_cells) - 1)
+    return sorted(map(_union, members), key=to_graph6)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +259,7 @@ def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> lis
 def max_radius_over(graphs: list[Graph]) -> tuple[float, list[Graph]]:
     """Max q over a fixed graph list, keeping every graph within ARGMAX_BAND
     of the best.  Order-preserving and deterministic.  Kept for callers that
-    use this name; brute_force_max solves catalog pieces instead."""
+    use this name; brute_force_max reads cell maxima instead."""
     if not graphs:
         raise ValueError("empty graph list")
     radii = q_radii(graphs)
@@ -242,20 +271,27 @@ def max_radius_over(graphs: list[Graph]) -> tuple[float, list[Graph]]:
 def brute_force_max(
     query: EnumerationQuery, guard: int = DEFAULT_GUARD
 ) -> tuple[float, list[Graph]]:
-    """Max spectral radius over the query class, with every graph within
-    ARGMAX_BAND of it in canonical form order.  A member's radius is the max
-    over its pieces, each solved once; only the argmax is built as graphs.
-    For 1 <= beta <= m the class holds K1,(m-beta+1) + (beta-1)K2."""
+    """Max spectral radius over the query class, the largest Qc(k, b) over the
+    cells whose remainder class (m - k edges, the rest of the matching number)
+    is non-empty, and the graphs within ARGMAX_BAND of it in canonical form
+    order: each piece within the band in such a cell, joined with each graph of
+    its remainder class."""
     if query.m < query.beta:
         raise ValueError(
             f"empty class: no graph has {query.m} edges and matching number {query.beta}"
         )
-    members = _members(query, guard)
-    unsolved = sorted({p for t in members for p in t}.difference(_radii))
-    _radii.update(zip(unsolved, q_radii([_pieces[p][0] for p in unsolved])))
-    radii = [max(_radii[p] for p in t) for t in members]
-    best = max(radii)
-    argmax = [_union(t) for t, q in zip(members, radii) if q >= best - ARGMAX_BAND]
+    lo, hi = _bounds(query, guard)
+    m, last = query.m, len(_cells) - 1
+    cells = [(q, k, b) for k in range(1, m + 1) for b, q in _level(k)[1].items()
+             if _count(m - k, lo - b, hi - b, last)]
+    best = max(cells)[0]
+    band = best - ARGMAX_BAND
+    argmax = {
+        _union((g,) + rest)
+        for q, k, b in cells if q >= band
+        for (g, nu), p in zip(connected_catalog(k), _level(k)[0]) if nu == b and p >= band
+        for rest in _walk(m - k, lo - b, hi - b, last)
+    }
     return best, sorted(argmax, key=to_graph6)
 
 

@@ -116,13 +116,25 @@ class TestGraph6:
         assert to_graph6(Graph.from_edges(0)) == "?"
         assert to_graph6(P4) == "Ch"
 
-    @given(graphs(max_n=12))
+    @given(st.one_of(graphs(max_n=GRAPH6_MAX_N), sparse_graphs(max_n=GRAPH6_MAX_N)))
     def test_round_trip(self, g):
         assert from_graph6(to_graph6(g)) == g
+        assert from_graph6(ref_graph6_encode(g.n, set(g.edges()))) == g
 
-    @given(graphs(max_n=12))
+    @given(st.one_of(graphs(max_n=GRAPH6_MAX_N), sparse_graphs(max_n=GRAPH6_MAX_N)))
     def test_encoder_matches_reference(self, g):
         assert to_graph6(g) == ref_graph6_encode(g.n, set(g.edges()))
+
+    @pytest.mark.parametrize("n", [13, 31, 61, GRAPH6_MAX_N])
+    def test_reference_codec_up_to_62_vertices(self, n):
+        rng = random.Random(n)
+        for p in (0.0, 0.05, 0.5, 1.0):
+            g = Graph.from_edges(
+                n, [e for e in combinations(range(n), 2) if rng.random() < p]
+            )
+            text = ref_graph6_encode(n, set(g.edges()))
+            assert to_graph6(g) == text
+            assert from_graph6(text) == g
 
     def test_accepts_bytes_and_trailing_newline(self):
         assert from_graph6(b"A_") == K2
@@ -143,6 +155,17 @@ class TestGraph6:
     def test_error_taxonomy(self, text, message):
         with pytest.raises(Graph6Error, match=message):
             from_graph6(text)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 8])
+    def test_every_padding_bit_is_checked(self, n):
+        # the empty graph with one padding bit set, the bits packed big-endian
+        nbits = n * (n - 1) // 2
+        nbytes = (nbits + 5) // 6
+        for pad in range(nbits, 6 * nbytes):
+            value = 1 << (6 * nbytes - 1 - pad)
+            body = [value >> 6 * (nbytes - 1 - i) & 63 for i in range(nbytes)]
+            with pytest.raises(Graph6Error, match="padding"):
+                from_graph6(chr(63 + n) + "".join(chr(63 + d) for d in body))
 
     def test_nonzero_padding_rejected(self):
         # K2's body sextet is 100000; flipping a padding bit must be refused

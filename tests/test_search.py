@@ -16,6 +16,7 @@ from qspex.graphs import (
 from qspex import search, spectral
 from qspex.matching import matching_number
 from qspex.search import (
+    ARGMAX_BAND,
     ClimbTrace,
     EnumerationQuery,
     brute_force_max,
@@ -32,6 +33,7 @@ from helpers import (
     oracle_brute_force_max,
     oracle_class_forms,
     oracle_connected_catalog,
+    oracle_q_radius,
     random_graph,
 )
 
@@ -177,11 +179,13 @@ class TestBruteForce:
 
 @pytest.fixture
 def empty_search(monkeypatch):
-    """search with no catalog, no class table and no solved radii."""
+    """search with no catalog, no solved levels, no cells and no counts."""
     monkeypatch.setattr(search, "_catalog", {})
-    monkeypatch.setattr(search, "_pieces", [])
-    monkeypatch.setattr(search, "_table", [[[()]]])
-    monkeypatch.setattr(search, "_radii", {})
+    monkeypatch.setattr(search, "_levels", {})
+    monkeypatch.setattr(search, "_cells", [])
+    search._count.cache_clear()
+    yield
+    search._count.cache_clear()
 
 
 def assert_matches_union_oracle(query):
@@ -200,15 +204,15 @@ class TestClassTable:
                 assert_matches_union_oracle(EnumerationQuery(m, beta, mode))
 
     def test_larger_edge_count_first(self, empty_search, monkeypatch):
-        # a table grown for m = 9 serves m = 4; grown again on a catalog
-        # regrown from nothing, its earlier rows stay valid
+        # cells grown for m = 9 serve m = 4; grown again for m = 10 on a
+        # catalog regrown from nothing, they serve m = 9 and m = 4 alike
         for m, beta in [(9, 3), (4, 2), (4, 1)]:
             assert_matches_union_oracle(EnumerationQuery(m, beta, "exact"))
-        assert len(search._table) == 10
+        assert search._cells[-1][0] == 9 and sorted(search._levels) == list(range(1, 10))
         monkeypatch.setattr(search, "_catalog", {})
         for m, beta in [(10, 3), (9, 3), (4, 2)]:
             assert_matches_union_oracle(EnumerationQuery(m, beta, "exact"))
-        assert len(search._table) == 11
+        assert search._cells[-1][0] == 10 and sorted(search._levels) == list(range(1, 11))
 
     def test_empty_and_guarded_classes(self):
         assert class_size(EnumerationQuery(2, 3)) == 0
@@ -243,6 +247,67 @@ class TestClassTable:
                 assert verify_theorem1(m, beta).verdict == "pass"
         catalog = [to_graph6(g) for k in range(1, 9) for g, _ in connected_catalog(k)]
         assert sorted(solved) == sorted(catalog)
+
+
+class TestCells:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cell_maxima_match_oracle(self, k):
+        want: dict[int, float] = {}
+        for g, b in connected_catalog(k):
+            want[b] = max(want.get(b, 0.0), oracle_q_radius(g))
+        qc = search._level(k)[1]
+        assert sorted(qc) == sorted(want)
+        for b, q in want.items():
+            assert qc[b] == pytest.approx(q, abs=1e-9)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_one_connected_maximizer_per_cell(self, k):
+        radii, qc = search._level(k)
+        for b, top in qc.items():
+            tops = [
+                to_graph6(g)
+                for (g, nu), q in zip(connected_catalog(k), radii)
+                if nu == b and q >= top - ARGMAX_BAND
+            ]
+            if (k, b) == (3, 1):
+                assert tops == ["Bw", "CF"]  # K3 and K1,3, both at q = 4
+            else:
+                assert len(tops) == 1, (b, tops)
+
+    @pytest.mark.parametrize("mode", ["exact", "at_least"])
+    def test_feasible_cells_follow_the_closed_form(self, mode):
+        # a remainder of r edges can have any matching number in 1..r, and
+        # none but 0 when r = 0
+        for m in range(1, 11):
+            for beta in range(1, m + 1):
+                lo, hi = search._bounds(EnumerationQuery(m, beta, mode), m)
+                for k, b, _ in search._cells:
+                    if k > m:
+                        break
+                    r, s = m - k, beta - b
+                    if mode == "exact":
+                        want = (r, s) == (0, 0) or 1 <= s <= r
+                    else:
+                        want = b >= beta if r == 0 else b + r >= beta
+                    got = search._count(r, lo - b, hi - b, len(search._cells) - 1)
+                    assert bool(got) == want, (m, beta, k, b)
+
+    def test_levels_are_solved_once_in_one_batch(self, empty_search, monkeypatch):
+        batches = []
+
+        def counted_q_radii(graphs):
+            batches.append([to_graph6(g) for g in graphs])
+            return radii(graphs)
+
+        radii = search.q_radii
+        monkeypatch.setattr(search, "q_radii", counted_q_radii)
+        assert verify_theorem1(10, 1).verdict == "pass"
+        assert batches == [
+            [to_graph6(g) for g, _ in connected_catalog(k)] for k in range(1, 11)
+        ]
+        for beta in range(2, 11):
+            assert verify_theorem1(10, beta).verdict == "pass"
+        assert len(batches) == 10
 
 
 class TestHillClimb:

@@ -8,6 +8,7 @@ from qspex.family import build_h, build_s, predicted_extremal
 from qspex.graphs import Graph, canonical_graph, from_graph6, to_graph6
 from qspex.matching import Matching, OrderedMatching, extremal_matching, proper_ordering
 from qspex.spectral import SpectralData, q_radius
+from qspex import verify
 from qspex.verify import (
     VerificationReport,
     check_lemma2,
@@ -137,6 +138,29 @@ class TestVerifyTheorem1:
     def test_empty_class_at_beta_one_is_infeasible(self):
         r = verify_theorem1(0, 1)
         assert r.verdict == "infeasible" and r.classes == 0 and r.predicted == ()
+
+    def test_each_maximizer_is_solved_once(self, monkeypatch):
+        # the lemma checks and the predicted radius reuse the maximizers' solves
+        solved = []
+
+        def counted(g, *args, **kwargs):
+            solved.append(to_graph6(g))
+            return q_radius(g, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "q_radius", counted)
+        for m in range(1, 9):
+            for beta in range(1, m + 1):
+                start = len(solved)
+                r = verify_theorem1(m, beta)
+                assert r.verdict == "pass"
+                assert solved[start:] == list(r.argmax)
+
+    def test_prediction_outside_the_argmax_is_solved_apart(self, monkeypatch):
+        k13 = canonical_graph(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+        monkeypatch.setattr(verify, "brute_force_max", lambda query, guard: (4.0, [k13]))
+        r = verify_theorem1(3, 1)
+        assert r.verdict == "fail" and r.argmax == ("CF",)
+        assert r.predicted == ("Bw", "CF") and r.lemma2_ok
 
 
 class TestVerifyBeta1:
