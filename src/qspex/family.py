@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, disjoint_union, union_all
+from .graphs import Graph, union_all
 
 
 @dataclass(frozen=True)

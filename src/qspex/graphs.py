@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 62
 _G6_BITS = {63 + d: format(d, "06b") for d in range(64)}  # body byte -> its six bits
+_G6_CHARS = {bits: chr(byte) for byte, bits in _G6_BITS.items()}
 
 
 class Graph6Error(ValueError):
@@ -133,24 +134,19 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def to_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
+    n = g.n
+    if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 single-byte form requires n <= {GRAPH6_MAX_N}")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
+    # the decoder's number built back: column v, the pairs (u, v) with u < v,
+    # in the next v bits from the low end, bit u for (u, v)
     adj = g._adj
-    for v in range(1, g.n):
-        col = adj[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    x = 0
+    for v in range(n - 1, 0, -1):
+        x = x << v | adj[v] & ((1 << v) - 1)
+    nbits = n * (n - 1) // 2
+    # low bit first, then zero padding to whole sextets
+    bits = bin(x | 1 << nbits)[:2:-1] + "0" * (-nbits % 6)
+    return chr(n + 63) + "".join(_G6_CHARS[bits[i:i + 6]] for i in range(0, len(bits), 6))
 
 
 def from_graph6(text: str | bytes) -> Graph:
@@ -280,13 +276,18 @@ def union_all(parts: Iterable[Graph]) -> Graph:
 # color classes as cells in color order and splits each cell by its vertices'
 # sorted neighbor colors, never computing a signature for a singleton cell
 # (the cell splitting of McKay & Piperno, "Practical graph isomorphism II",
-# 2014).  Two kinds of automorphism from the same paper prune sibling
-# branches: those discovered at key-equal leaves, and the transposition (v w)
-# of twins v, w, vertices whose neighborhoods agree apart from each other,
-# which fixes every individualized vertex and so leaves the least key
-# unchanged.  A disconnected graph is canonicalized per component and
-# reassembled with components sorted by (n, m, bits), which is
-# label-invariant, so equal canonical forms still mean isomorphic.
+# 2014).  The root refinement starts from the degrees, the colors one round
+# from all zeros gives.  Two kinds of automorphism from the same paper prune
+# sibling branches: those discovered at key-equal leaves, and the
+# transposition (v w) of twins v, w, vertices whose neighborhoods agree apart
+# from each other, which fixes every individualized vertex and so leaves the
+# least key unchanged.  Twinship is an equivalence, and a vertex outside a
+# twin class sees all of it or none, so individualizing a twin splits no
+# cell: a target cell made only of twins is labeled in one step, its
+# vertices in index order, the one path the search would take through it a
+# vertex and a refinement at a time.  A disconnected graph is canonicalized
+# per component and reassembled with components sorted by (n, m, bits),
+# which is label-invariant, so equal canonical forms still mean isomorphic.
 # ---------------------------------------------------------------------------
 
 _AUT_CAP = 3000  # stop recording automorphisms past this many (pruning only weakens)
@@ -356,7 +357,7 @@ def _g6_bits_key(adj: Sequence[int], perm: Sequence[int]) -> int:
     return acc
 
 
-def _connected_canonical_order(g: Graph) -> list[int]:
+def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) -> list[int]:
     n = g.n
     adj = g._adj
     if n <= 1:
@@ -379,8 +380,13 @@ def _connected_canonical_order(g: Graph) -> list[int]:
             perm = [0] * n
             for v, c in enumerate(colors):
                 perm[c] = v
+            if best_perm is None:  # keyed only once a second leaf comes
+                best_perm = perm
+                return
+            if best_key is None:
+                best_key = _g6_bits_key(adj, best_perm)
             key = _g6_bits_key(adj, perm)
-            if best_key is None or key < best_key:
+            if key < best_key:
                 best_key = key
                 best_perm = perm
             elif key == best_key and len(auts) < _AUT_CAP:
@@ -394,6 +400,16 @@ def _connected_canonical_order(g: Graph) -> list[int]:
                 auts.append(inv)
             return
         cand = [v for v in range(n) if colors[v] == target]
+        v0 = cand[0]
+        if all(adj[w] & ~(1 << v0) == adj[v0] & ~(1 << w) for w in cand[1:]):
+            # a cell of twins, the search's one path: the least vertex, the
+            # rest pruned as its twins, and no cell split by a refinement
+            shift = len(cand) - 1
+            step = [c + shift if c > target else c for c in colors]
+            for i, v in enumerate(cand):
+                step[v] = target + i
+            search(tuple(step), fixed + tuple(cand))
+            return
         tried: set[int] = set()
         for v in cand:
             # a tried twin w: (v w) maps w's subtree onto v's
@@ -407,17 +423,39 @@ def _connected_canonical_order(g: Graph) -> list[int]:
             tried.add(v)
             search(_refine(adj, _individualize(colors, v)), fixed + (v,))
 
-    search(_refine(adj, (0,) * n), ())
+    if colors is None:
+        colors = _refine(adj, [a.bit_count() for a in adj])
+    search(colors, ())
     assert best_perm is not None
     return best_perm
 
 
-def _connected_canonical(g: Graph) -> Graph:
-    return induced_subgraph(g, _connected_canonical_order(g))
+def _connected_canonical(g: Graph, colors: tuple[int, ...] | None = None) -> Graph:
+    order = _connected_canonical_order(g, colors)
+    index = [0] * g.n
+    for i, v in enumerate(order):
+        index[v] = i
+    adj = []
+    for v in order:
+        mask = g._adj[v]
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << index[low.bit_length() - 1]
+            mask ^= low
+        adj.append(out)
+    return Graph(g.n, tuple(adj))
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """A canonically labeled copy: equal outputs exactly for isomorphic inputs."""
+def canonical_graph(g: Graph, colors: tuple[int, ...] | None = None) -> Graph:
+    """A canonically labeled copy: equal outputs exactly for isomorphic inputs.
+
+    `colors` is for catalog growth, which has already refined g from its
+    degrees: given, it must equal _refine(g's masks, g's degrees), and g must
+    be connected, so no component split is made.
+    """
+    if colors is not None:
+        return _connected_canonical(g, colors)
     decomp = components(g)
     if len(decomp) == 1:
         return _connected_canonical(decomp[0][0])

@@ -241,6 +241,11 @@ class MatchedGraph:
             self._odd.append(bool(part.bit_count() & 1))
         self._bound = (n + barrier.bit_count() - sum(self._odd)) // 2
 
+    def leaf_matching_number(self, u: int) -> int:
+        """nu(g plus a new vertex joined to u): one more exactly when some
+        maximum matching of g misses u, for the new edge then extends it."""
+        return self.size + (self._missed >> u & 1)
+
     def rewired_matching_number(
         self, removed: Sequence[tuple[int, int]], added: Sequence[tuple[int, int]]
     ) -> int:

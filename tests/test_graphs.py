@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspex import graphs as _graphs
+from qspex.family import build_s, predicted_extremal, predicted_maximizers
 from qspex.graphs import (
     GRAPH6_MAX_N,
     Graph,
@@ -22,6 +23,7 @@ from qspex.graphs import (
     to_graph6,
     union_all,
 )
+from qspex.search import connected_catalog
 
 from helpers import (
     cubic_like_graphs,
@@ -30,6 +32,7 @@ from helpers import (
     oracle_canonical_graph,
     oracle_individualize,
     oracle_refine,
+    random_graph,
     ref_graph6_encode,
     rewirings,
     sparse_graphs,
@@ -237,6 +240,17 @@ class TestRefine:
         adj, colors = case
         assert _graphs._refine(adj, colors) == oracle_refine(adj, colors)
 
+    def test_degree_start_is_the_fixed_point_from_zeros(self):
+        # refining from the degrees skips the first round from all zeros
+        rng = random.Random(62)
+        cases = [g for k in range(1, 10) for g, _ in connected_catalog(k)]
+        cases += [random_graph(rng, max_n=GRAPH6_MAX_N, p=rng.choice([0.03, 0.1, 0.5]))
+                  for _ in range(40)]
+        for g in cases:
+            adj = g._adj
+            degrees = [a.bit_count() for a in adj]
+            assert _graphs._refine(adj, degrees) == _graphs._refine(adj, (0,) * g.n)
+
     def test_pieces_of_a_cell_follow_their_signatures(self):
         # the path 2-0-1-3: its leaves have the lesser signature (0,), so
         # they take color 0 though a middle vertex comes first
@@ -325,6 +339,48 @@ class TestCanonical:
         # the search without twin pruning visits a superset of leaves, and
         # the skipped ones repeat a visited key
         assert canonical_graph(g) == oracle_canonical_graph(g)
+
+    def test_predicted_maximizers_equal_the_oracle(self):
+        # twin-heavy graphs: the search labels each twin cell in one step
+        rng = random.Random(12)
+        for m in range(1, 13):
+            for beta in range(1, m + 1):
+                for g in predicted_maximizers(m, beta):
+                    perm = list(range(g.n))
+                    rng.shuffle(perm)
+                    h = induced_subgraph(g, perm)
+                    assert canonical_graph(h) == oracle_canonical_graph(h)
+
+    def test_invariant_up_to_62_vertices(self):
+        rng = random.Random(31)
+        cases = [predicted_extremal(m, beta) for m, beta in ((25, 5), (61, 2), (45, 30))]
+        pairs = list(combinations(range(GRAPH6_MAX_N), 2))
+        cases += [Graph.from_edges(GRAPH6_MAX_N, [e for e in pairs if rng.random() < p])
+                  for p in (0.04, 0.1, 0.5)]
+        for g in cases:
+            want = canonical_graph(g)
+            for _ in range(5):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert canonical_graph(induced_subgraph(g, perm)) == want
+
+    def test_twin_cells_take_one_step(self, monkeypatch):
+        # one refinement per search node: the root, then one per
+        # individualized vertex outside a cell of twins
+        calls = []
+        refine = _graphs._refine
+
+        def counted(adj, colors):
+            calls.append(colors)
+            return refine(adj, colors)
+
+        monkeypatch.setattr(_graphs, "_refine", counted)
+        star = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
+        canonical_graph(star)
+        assert len(calls) <= 1  # the unstepped search made 40
+        calls.clear()
+        canonical_graph(build_s(13, 0, 4))  # extremal --m 25 --beta 5
+        assert len(calls) <= 31  # the unstepped search made 61
 
     def test_star_k1_40_is_fast(self):
         # every leaf of a star is a twin of every other; without twin

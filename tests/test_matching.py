@@ -136,6 +136,14 @@ class TestMatchedGraph:
             keeps = oracle_matching_number(induced_subgraph(g, rest)) == matched.size
             assert bool(matched._missed >> v & 1) == keeps
 
+    @given(st.one_of(graphs(min_n=1, max_n=10), sparse_graphs()))
+    def test_leaf_equals_oracle(self, g):
+        matched = MatchedGraph(g)
+        grown = g.add_vertices(1)
+        for u in range(g.n):
+            h = grown.add_edge((u, g.n))
+            assert matched.leaf_matching_number(u) == oracle_matching_number(h)
+
     @given(st.one_of(graphs(max_n=10), sparse_graphs()))
     def test_barrier_certifies_the_matching(self, g):
         # Gallai-Edmonds: (n + |B| - odd(g - B)) / 2 = nu(g) for the barrier B
