@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .family import extremal_params, predicted_maximizers
@@ -31,44 +30,18 @@ class UsageError(Exception):
     """Bad invocation (flags/environment), as opposed to a domain failure."""
 
 
-@dataclass
-class CliConfig:
-    tolerance: float = RESIDUAL_TOL
-    guard: int = DEFAULT_GUARD
-    format: str = "json"
-    output: Optional[str] = None
-
-    def validate(self) -> "CliConfig":
-        if not 1 <= self.guard <= MAX_GUARD:
-            raise UsageError(f"guard must be within 1..{MAX_GUARD}, got {self.guard}")
-        if not 1e-13 <= self.tolerance <= 1e-6:
-            raise UsageError(
-                f"tolerance must lie in [1e-13, 1e-6], got {self.tolerance!r}"
-            )
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"format must be json or csv, got {self.format!r}")
-        return self
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    # only enumerate and verify take a guard; the others never read QSPEX_GUARD
-    guard = getattr(args, "guard", DEFAULT_GUARD)
+def _guard(args: argparse.Namespace) -> int:
+    """The enumeration guard: --guard, else QSPEX_GUARD, else DEFAULT_GUARD."""
+    guard = args.guard
     if guard is None:
-        env = os.environ.get("QSPEX_GUARD")
-        if env is None:
-            guard = DEFAULT_GUARD
-        else:
-            try:
-                guard = int(env)
-            except ValueError:
-                raise UsageError(f"QSPEX_GUARD must be an integer, got {env!r}") from None
-    tolerance = getattr(args, "tolerance", None)
-    return CliConfig(
-        tolerance=RESIDUAL_TOL if tolerance is None else tolerance,
-        guard=guard,
-        format=getattr(args, "format", "json") or "json",
-        output=getattr(args, "output", None),
-    ).validate()
+        env = os.environ.get("QSPEX_GUARD", str(DEFAULT_GUARD))
+        try:
+            guard = int(env)
+        except ValueError:
+            raise UsageError(f"QSPEX_GUARD must be an integer, got {env!r}") from None
+    if not 1 <= guard <= MAX_GUARD:
+        raise UsageError(f"guard must be within 1..{MAX_GUARD}, got {guard}")
+    return guard
 
 
 def _input_graphs(items: list[str]) -> list[str]:
@@ -102,12 +75,14 @@ def _parse_edge_list(text: str) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_q(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_q(args: argparse.Namespace) -> tuple[list[str], int]:
+    if not 1e-13 <= args.tolerance <= 1e-6:
+        raise UsageError(f"tolerance must lie in [1e-13, 1e-6], got {args.tolerance!r}")
     graphs = _input_graphs(args.graphs)
     batch = len(graphs) > 1
     lines = []
     for g6 in graphs:
-        s = q_radius(from_graph6(g6), residual_tol=cfg.tolerance)
+        s = q_radius(from_graph6(g6), residual_tol=args.tolerance)
         fields = [
             _fmt(s.q),
             ",".join(_fmt(v) for v in s.x),
@@ -119,7 +94,7 @@ def _cmd_q(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_beta(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_beta(args: argparse.Namespace) -> tuple[list[str], int]:
     graphs = _input_graphs(args.graphs)
     batch = len(graphs) > 1
     lines = []
@@ -129,7 +104,7 @@ def _cmd_beta(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]
     return lines, 0
 
 
-def _cmd_extremal(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_extremal(args: argparse.Namespace) -> tuple[list[str], int]:
     graphs = [canonical_graph(g) for g in predicted_maximizers(args.m, args.beta)]
     lines = [f"graph6 {to_graph6(g)}" for g in graphs]
     lines.append(f"q {_fmt(q_radius(graphs[0]).q)}")
@@ -139,20 +114,21 @@ def _cmd_extremal(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], 
     return lines, 0
 
 
-def _cmd_enumerate(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[list[str], int]:
+    guard = _guard(args)  # a usage error comes before the query's own checks
     query = EnumerationQuery(args.m, args.beta, "at_least" if args.at_least else "exact")
-    graphs = enumerate_graphs(query, guard=cfg.guard)
+    graphs = enumerate_graphs(query, guard=guard)
     return [to_graph6(g) for g in graphs], 0
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
-    report = verify_theorem1(args.m, args.beta, guard=cfg.guard)
-    text = emit_report(report, cfg.format, include_timings=args.timings)
+def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
+    report = verify_theorem1(args.m, args.beta, guard=_guard(args))
+    text = emit_report(report, args.format, include_timings=args.timings)
     code = 0 if report.verdict == "pass" else 1
     return text.splitlines(), code
 
 
-def _cmd_climb(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_climb(args: argparse.Namespace) -> tuple[list[str], int]:
     if args.max_steps < 0:
         raise UsageError(f"--max-steps must be nonnegative, got {args.max_steps}")
     start = from_graph6(args.start)
@@ -183,21 +159,21 @@ def _rewire_output(r: RewireResult) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_rotate(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_rotate(args: argparse.Namespace) -> tuple[list[str], int]:
     g = from_graph6(args.graph)
     return _rewire_output(
         rotate(g, q_radius(g).x, _parse_pair(args.remove), _parse_pair(args.add))
     )
 
 
-def _cmd_swap(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_swap(args: argparse.Namespace) -> tuple[list[str], int]:
     g = from_graph6(args.graph)
     return _rewire_output(
         kelmans_swap(g, _parse_pair(args.first), _parse_pair(args.second))
     )
 
 
-def _cmd_collapse(args: argparse.Namespace, cfg: CliConfig) -> tuple[list[str], int]:
+def _cmd_collapse(args: argparse.Namespace) -> tuple[list[str], int]:
     g = from_graph6(args.graph)
     return _rewire_output(pendant_collapse(g, args.center, _parse_edge_list(args.edges)))
 
@@ -233,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spectral radius, principal eigenvector, residual")
     p.add_argument("graphs", nargs="+", metavar="GRAPH6",
                    help="graph6 strings, or - for one per stdin line")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=float, default=RESIDUAL_TOL,
                    help=f"residual tolerance (default {RESIDUAL_TOL})")
 
     p = sub.add_parser("beta", parents=[common], help="matching number")
@@ -300,8 +276,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        lines, code = _HANDLERS[args.command](args, cfg)
+        lines, code = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -309,9 +284,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = "\n".join(lines) + ("\n" if lines else "")
-    if cfg.output:
+    if args.output:
         try:
-            with open(cfg.output, "w", encoding="ascii") as fh:
+            with open(args.output, "w", encoding="ascii") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -277,20 +277,25 @@ def union_all(parts: Iterable[Graph]) -> Graph:
 # sorted neighbor colors, never computing a signature for a singleton cell
 # (the cell splitting of McKay & Piperno, "Practical graph isomorphism II",
 # 2014).  The root refinement starts from the degrees, the colors one round
-# from all zeros gives.  Two kinds of automorphism from the same paper prune
-# sibling branches: those discovered at key-equal leaves, and the
-# transposition (v w) of twins v, w, vertices whose neighborhoods agree apart
-# from each other, which fixes every individualized vertex and so leaves the
-# least key unchanged.  Twinship is an equivalence, and a vertex outside a
-# twin class sees all of it or none, so individualizing a twin splits no
-# cell: a target cell made only of twins is labeled in one step, its
-# vertices in index order, the one path the search would take through it a
-# vertex and a refinement at a time.  A disconnected graph is canonicalized
-# per component and reassembled with components sorted by (n, m, bits),
-# which is label-invariant, so equal canonical forms still mean isomorphic.
+# from all zeros gives.  Automorphisms prune the search as in McKay,
+# "Practical graph isomorphism" (1981).  A leaf whose key equals that of the
+# first leaf or of the least leaf gives an automorphism mapping that leaf to
+# this one; it is recorded, and since it maps the other leaf's branch below
+# their deepest common ancestor onto this leaf's branch, the search returns to
+# that ancestor.  At a node, a child is skipped when it lies in the orbit of
+# a tried child under the recorded automorphisms that fix the node's
+# individualized vertices, or is a twin of a tried child: twins v, w are
+# vertices whose neighborhoods agree apart from each other, and the
+# transposition (v w) fixes every individualized vertex.  Each pruned branch
+# is the image of a visited one, so the least key is unchanged.  Twinship is
+# an equivalence, and a vertex outside a twin class sees all of it or none,
+# so individualizing a twin splits no cell: a target cell made only of twins
+# is labeled in one step, its vertices in index order, the one path the
+# search would take through it a vertex and a refinement at a time.  A
+# disconnected graph is canonicalized per component and reassembled with
+# components sorted by (n, m, bits), which is label-invariant, so equal
+# canonical forms still mean isomorphic.
 # ---------------------------------------------------------------------------
-
-_AUT_CAP = 3000  # stop recording automorphisms past this many (pruning only weakens)
 
 
 def _refine(adj: Sequence[int], colors: Sequence[int]) -> tuple[int, ...]:
@@ -362,12 +367,17 @@ def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) 
     adj = g._adj
     if n <= 1:
         return list(range(n))
-    best_key: int | None = None
-    best_perm: list[int] | None = None
+    # a leaf is kept as (perm, fixed); keys are computed from the second leaf on
+    first: tuple[list[int], tuple[int, ...]] | None = None
+    best = first
+    first_key: int | None = None
+    best_key = 0
     auts: list[list[int]] = []
 
-    def search(colors: tuple[int, ...], fixed: tuple[int, ...]) -> None:
-        nonlocal best_key, best_perm
+    def search(colors: tuple[int, ...], fixed: tuple[int, ...]) -> int:
+        """Visit the node that individualized `fixed`; return the length of
+        `fixed` at the ancestor whose next child the search goes on with."""
+        nonlocal first, best, first_key, best_key
         counts = [0] * n
         for c in colors:
             counts[c] += 1
@@ -380,25 +390,30 @@ def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) 
             perm = [0] * n
             for v, c in enumerate(colors):
                 perm[c] = v
-            if best_perm is None:  # keyed only once a second leaf comes
-                best_perm = perm
-                return
-            if best_key is None:
-                best_key = _g6_bits_key(adj, best_perm)
+            if first is None:
+                first = best = (perm, fixed)
+                return len(fixed) - 1
+            if first_key is None:
+                first_key = best_key = _g6_bits_key(adj, first[0])
             key = _g6_bits_key(adj, perm)
-            if key < best_key:
-                best_key = key
-                best_perm = perm
-            elif key == best_key and len(auts) < _AUT_CAP:
-                sigma = [0] * n
-                for i in range(n):
-                    sigma[best_perm[i]] = perm[i]
-                inv = [0] * n
-                for i, s in enumerate(sigma):
-                    inv[s] = i
-                auts.append(sigma)
-                auts.append(inv)
-            return
+            if key == first_key:
+                match_perm, match_fixed = first
+            elif key == best_key:
+                match_perm, match_fixed = best
+            else:
+                if key < best_key:
+                    best_key, best = key, (perm, fixed)
+                return len(fixed) - 1
+            # this automorphism fixes the two leaves' deepest common ancestor
+            # and maps the matched leaf's branch below it onto this one
+            sigma = [0] * n
+            for i in range(n):
+                sigma[match_perm[i]] = perm[i]
+            auts.append(sigma)
+            fork = 0
+            while fixed[fork] == match_fixed[fork]:
+                fork += 1
+            return fork
         cand = [v for v in range(n) if colors[v] == target]
         v0 = cand[0]
         if all(adj[w] & ~(1 << v0) == adj[v0] & ~(1 << w) for w in cand[1:]):
@@ -408,26 +423,40 @@ def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) 
             step = [c + shift if c > target else c for c in colors]
             for i, v in enumerate(cand):
                 step[v] = target + i
-            search(tuple(step), fixed + tuple(cand))
-            return
-        tried: set[int] = set()
+            return search(tuple(step), fixed + tuple(cand))
+        tried: list[int] = []
+        orbit = {v: v for v in cand}  # union-find of the orbits on the cell
+        absorbed = 0  # auts[:absorbed] are merged into orbit
+
+        def root(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = v = orbit[orbit[v]]
+            return v
+
         for v in cand:
-            # a tried twin w: (v w) maps w's subtree onto v's
-            if any(adj[v] & ~(1 << w) == adj[w] & ~(1 << v) for w in tried):
-                continue
-            if any(
-                sigma[v] in tried and all(sigma[u] == u for u in fixed)
-                for sigma in auts
-            ):
-                continue
-            tried.add(v)
-            search(_refine(adj, _individualize(colors, v)), fixed + (v,))
+            if tried:
+                # a tried twin w: (v w) maps w's subtree onto v's
+                if any(adj[v] & ~(1 << w) == adj[w] & ~(1 << v) for w in tried):
+                    continue
+                for sigma in auts[absorbed:]:
+                    if all(sigma[u] == u for u in fixed):
+                        for u in cand:
+                            orbit[root(u)] = root(sigma[u])
+                absorbed = len(auts)
+                r = root(v)
+                if any(root(w) == r for w in tried):
+                    continue
+            tried.append(v)
+            resume = search(_refine(adj, _individualize(colors, v)), fixed + (v,))
+            if resume < len(fixed):
+                return resume
+        return len(fixed) - 1
 
     if colors is None:
         colors = _refine(adj, [a.bit_count() for a in adj])
     search(colors, ())
-    assert best_perm is not None
-    return best_perm
+    assert best is not None
+    return best[0]
 
 
 def _connected_canonical(g: Graph, colors: tuple[int, ...] | None = None) -> Graph:

@@ -266,6 +266,9 @@ def oracle_individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
     )
 
 
+ORACLE_AUT_CAP = 3000  # automorphisms the oracle records at most (pruning only weakens)
+
+
 def oracle_canonical_order(g: Graph) -> list[int]:
     """Canonical order of a connected graph by individualization-refinement,
     pruned only by automorphisms found at key-equal leaves (no twin pruning).
@@ -292,7 +295,7 @@ def oracle_canonical_order(g: Graph) -> list[int]:
             key = _graphs._g6_bits_key(adj, perm)
             if best_key is None or key < best_key:
                 best_key, best_perm = key, perm
-            elif key == best_key and len(auts) < _graphs._AUT_CAP:
+            elif key == best_key and len(auts) < ORACLE_AUT_CAP:
                 sigma = [0] * n
                 for i in range(n):
                     sigma[best_perm[i]] = perm[i]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -150,6 +151,14 @@ class TestExtremal:
         lines = out.strip().split("\n")
         assert code == 0 and lines[0] == "params a=10 b=0 c=6 d=0"
         assert lines[1] == "graph6 " + to_graph6(canonical_graph(build_s(10, 0, 6)))
+
+    def test_pendant_triangles_are_fast(self, capsys):
+        # S(7,0,11): eleven pendant triangles at one vertex; the labeling
+        # search never finished before it pruned by orbits
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "extremal", "--m", "40", "--beta", "12")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0 and out.startswith("params a=7 b=0 c=11 d=0\n")
 
 
 class TestEnumerate:
@@ -454,3 +463,92 @@ class TestPlumbing:
             ), argv
             if "OUT" in argv:
                 assert mine.read_text() == fresh.read_text() == "Dhc\t2\nCh\t2\n"
+
+
+# (QSPEX_GUARD or None, argv, stdin); OUT is a writable --output path and
+# MISSING one in an absent directory.  q succeeds only on edgeless graphs,
+# whose residuals are exact zeros rather than float noise.
+TRANSCRIPT = [
+    (None, ["--help"], ""),
+    (None, ["verify", "--help"], ""),
+    (None, [], ""),
+    (None, ["frobnicate"], ""),
+    (None, ["extremal", "--m", "5"], ""),
+    (None, ["extremal", "--m", "x", "--beta", "2"], ""),
+    (None, ["verify", "--m", "5", "--beta", "2", "--format", "yaml"], ""),
+    (None, ["verify", "--m", "5", "--beta", "2", "--workers", "2"], ""),
+    (None, ["q", "A?", "@"], ""),
+    (None, ["q", "@", "--tolerance", "1e-8"], ""),
+    (None, ["q", "A?", "--tolerance", "1e-3"], ""),
+    (None, ["q", "A?", "--tolerance", "1e-14"], ""),
+    (None, ["q", "A_XYZ"], ""),
+    (None, ["q", "-"], ""),
+    (None, ["q", "-", "--tolerance", "1e-3"], ""),
+    (None, ["q", "A?", "--tolerance", "1e-3", "--output", "MISSING"], ""),
+    (None, ["beta", C5], ""),
+    (None, ["beta", "-"], f"{C5}\n{P4}\n{K2}\n"),
+    (None, ["beta", "~??"], ""),
+    (None, ["extremal", "--m", "5", "--beta", "2"], ""),
+    (None, ["extremal", "--m", "3", "--beta", "1"], ""),
+    (None, ["extremal", "--m", "2", "--beta", "3"], ""),
+    (None, ["enumerate", "--m", "4", "--beta", "2"], ""),
+    (None, ["enumerate", "--m", "4", "--beta", "2", "--at-least", "--guard", "5"], ""),
+    (None, ["enumerate", "--m", "11", "--beta", "2"], ""),
+    (None, ["enumerate", "--m", "3", "--beta", "1", "--guard", "13"], ""),
+    (None, ["enumerate", "--m", "0", "--beta", "1"], ""),
+    (None, ["enumerate", "--m", "0", "--beta", "1", "--guard", "99"], ""),
+    (None, ["verify", "--m", "5", "--beta", "2"], ""),
+    (None, ["verify", "--m", "4", "--beta", "2", "--format", "csv"], ""),
+    (None, ["verify", "--m", "2", "--beta", "3"], ""),
+    (None, ["verify", "--m", "3", "--beta", "1", "--guard", "0"], ""),
+    (None, ["verify", "--m", "0", "--beta", "1", "--guard", "99"], ""),
+    (None, ["climb", "--start", C5, "--m", "5", "--beta", "2", "--at-least"], ""),
+    (None, ["climb", "--start", C5, "--m", "5", "--beta", "3"], ""),
+    (None, ["climb", "--start", C5, "--m", "5", "--beta", "2", "--max-steps", "-3"], ""),
+    (None, ["rotate", P4, "--remove", "2,3", "--add", "1,3"], ""),
+    (None, ["rotate", P4, "--remove", "0,2", "--add", "1,3"], ""),
+    (None, ["rotate", P4, "--remove", "2;3", "--add", "1,3"], ""),
+    (None, ["rotate", P4, "--remove", "a,b", "--add", "1,3"], ""),
+    (None, ["swap", "Ep_G", "--first", "3,2", "--second", "5,4"], ""),
+    (None, ["swap", P4, "--first", "99,0", "--second", "1,2"], ""),
+    (None, ["collapse", "Eb@W", "--center", "1", "--edges", "3,5"], ""),
+    (None, ["collapse", "Eb@W", "--center", "9", "--edges", "3,5"], ""),
+    ("4", ["enumerate", "--m", "5", "--beta", "2"], ""),
+    ("4", ["verify", "--m", "3", "--beta", "1"], ""),
+    ("4", ["beta", C5], ""),
+    ("abc", ["enumerate", "--m", "3", "--beta", "1"], ""),
+    ("abc", ["verify", "--m", "3", "--beta", "1", "--guard", "5"], ""),
+    ("abc", ["q", "@"], ""),
+    ("abc", ["extremal", "--m", "5", "--beta", "2"], ""),
+    ("99", ["verify", "--m", "3", "--beta", "1"], ""),
+    (None, ["beta", C5, P4, "--output", "OUT"], ""),
+    (None, ["verify", "--m", "2", "--beta", "3", "--output", "OUT"], ""),
+    (None, ["beta", C5, "--output", "MISSING"], ""),
+]
+
+
+def test_transcript_is_pinned(monkeypatch, tmp_path):
+    # argv, exit code, stdout, stderr and any --output file of each call,
+    # temporary paths replaced by their placeholders: any change to a
+    # message, an exit code or the order of the checks moves the hash
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = {"OUT": str(tmp_path / "out.txt"), "MISSING": str(tmp_path / "absent" / "out.txt")}
+    digest = hashlib.sha256()
+    for guard, argv, stdin in TRANSCRIPT:
+        if guard is None:
+            monkeypatch.delenv("QSPEX_GUARD", raising=False)
+        else:
+            monkeypatch.setenv("QSPEX_GUARD", guard)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(a, a) for a in argv])
+        written = Path(paths["OUT"]).read_text() if "OUT" in argv else ""
+        text = err.getvalue()
+        for name, path in paths.items():
+            text = text.replace(path, name)
+        record = [guard, argv, code, out.getvalue(), text, written]
+        digest.update(json.dumps(record).encode("ascii") + b"\n")
+    assert digest.hexdigest() == (
+        "ccc212992f8ec4835264a15bf5d905f4bc98ff3499f3851e0c1f3dcae32018cb"
+    )
