@@ -3,7 +3,9 @@
 Vertices are integers ``0..n-1``.  Adjacency lives in per-vertex bitmasks,
 which keeps edge tests, neighborhood scans and induced subgraphs cheap at the
 sizes this package targets (n <= 62, the single-byte graph6 range).  Graphs
-are immutable; edits return new objects.
+are immutable; edits return new objects.  A disconnected graph is labeled
+component by component, and each distinct component (equal masks after the
+order-preserving relabeling of `components`) is labeled once.
 """
 
 from __future__ import annotations
@@ -218,8 +220,14 @@ def components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
             comp |= frontier
         seen |= comp
         verts = tuple(_bits(comp))
-        # a connected g is its own part; Graph is immutable, so no copy
-        parts.append((g if len(verts) == g.n else induced_subgraph(g, verts), verts))
+        if len(verts) == g.n:
+            part = g  # a connected g is its own part; Graph is immutable, so no copy
+        elif comp >> v == (1 << len(verts)) - 1:
+            # consecutive vertices, as in a union: a shift relabels them
+            part = Graph(len(verts), tuple(g._adj[u] >> v for u in verts))
+        else:
+            part = induced_subgraph(g, verts)
+        parts.append((part, verts))
     return tuple(parts)
 
 
@@ -251,17 +259,18 @@ def strip_isolated(g: Graph) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    adj = list(g._adj) + [mask << g.n for mask in h._adj]
-    if len(adj) > GRAPH6_MAX_N:
-        raise ValueError("disjoint union exceeds supported vertex range")
-    return Graph(len(adj), tuple(adj))
+    return union_all((g, h))
 
 
 def union_all(parts: Iterable[Graph]) -> Graph:
-    out = Graph(0, ())
+    """The parts side by side, each shifted past the vertices before it."""
+    adj: list[int] = []
     for p in parts:
-        out = disjoint_union(out, p)
-    return out
+        shift = len(adj)
+        adj.extend(mask << shift for mask in p._adj)
+    if len(adj) > GRAPH6_MAX_N:
+        raise ValueError("disjoint union exceeds supported vertex range")
+    return Graph(len(adj), tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +295,21 @@ def union_all(parts: Iterable[Graph]) -> Graph:
 # a tried child under the recorded automorphisms that fix the node's
 # individualized vertices, or is a twin of a tried child: twins v, w are
 # vertices whose neighborhoods agree apart from each other, and the
-# transposition (v w) fixes every individualized vertex.  Each pruned branch
+# transposition (v w) fixes every individualized vertex.  A child is also
+# skipped when its pendant block swaps with a tried child's: a pendant block
+# is a vertex pair, a triangle or path pair, joined to the rest only through
+# one hub, and two blocks of one shape at one hub, neither holding an
+# individualized vertex, swap by an automorphism that fixes every
+# individualized vertex.  Each pruned branch
 # is the image of a visited one, so the least key is unchanged.  Twinship is
 # an equivalence, and a vertex outside a twin class sees all of it or none,
 # so individualizing a twin splits no cell: a target cell made only of twins
 # is labeled in one step, its vertices in index order, the one path the
 # search would take through it a vertex and a refinement at a time.  A
-# disconnected graph is canonicalized per component and reassembled with
-# components sorted by (n, m, bits), which is label-invariant, so equal
-# canonical forms still mean isomorphic.
+# disconnected graph is canonicalized per distinct component, each copy
+# taking its original's labeling, and reassembled with components sorted by
+# (n, m, bits), which is label-invariant, so equal canonical forms still
+# mean isomorphic.
 # ---------------------------------------------------------------------------
 
 
@@ -362,6 +377,28 @@ def _g6_bits_key(adj: Sequence[int], perm: Sequence[int]) -> int:
     return acc
 
 
+def _pendant_block(adj: Sequence[int], v: int, fixed: tuple[int, ...]) -> tuple[int, int] | None:
+    """(hub, shape) of the pendant block of v, if its partner is not in
+    `fixed`: v and a neighbor u such that the hub is the one vertex outside
+    the pair adjacent to either; shape has bit 1 when the hub sees v and
+    bit 0 when it sees u.
+
+    Two vertices with equal (hub, shape) lie in disjoint blocks, or are the
+    twins of one pendant triangle.  Swapping two disjoint blocks vertex for
+    vertex is an automorphism that fixes every vertex outside them.
+    """
+    if adj[v].bit_count() > 2:
+        return None
+    for u in _bits(adj[v]):
+        if u in fixed:
+            continue
+        outside = (adj[v] | adj[u]) & ~(1 << v | 1 << u)
+        if outside and not outside & (outside - 1):
+            hub = outside.bit_length() - 1
+            return hub, (adj[hub] >> v & 1) << 1 | adj[hub] >> u & 1
+    return None
+
+
 def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) -> list[int]:
     n = g.n
     adj = g._adj
@@ -425,6 +462,7 @@ def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) 
                 step[v] = target + i
             return search(tuple(step), fixed + tuple(cand))
         tried: list[int] = []
+        blocks: set[tuple[int, int]] = set()  # the pendant blocks of tried
         orbit = {v: v for v in cand}  # union-find of the orbits on the cell
         absorbed = 0  # auts[:absorbed] are merged into orbit
 
@@ -434,9 +472,12 @@ def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) 
             return v
 
         for v in cand:
+            block = _pendant_block(adj, v, fixed)
             if tried:
                 # a tried twin w: (v w) maps w's subtree onto v's
                 if any(adj[v] & ~(1 << w) == adj[w] & ~(1 << v) for w in tried):
+                    continue
+                if block in blocks:
                     continue
                 for sigma in auts[absorbed:]:
                     if all(sigma[u] == u for u in fixed):
@@ -447,6 +488,8 @@ def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) 
                 if any(root(w) == r for w in tried):
                     continue
             tried.append(v)
+            if block is not None:
+                blocks.add(block)
             resume = search(_refine(adj, _individualize(colors, v)), fixed + (v,))
             if resume < len(fixed):
                 return resume
@@ -488,9 +531,11 @@ def canonical_graph(g: Graph, colors: tuple[int, ...] | None = None) -> Graph:
     decomp = components(g)
     if len(decomp) == 1:
         return _connected_canonical(decomp[0][0])
-    parts = [_connected_canonical(part) for part, _ in decomp]
-    parts.sort(key=part_sort_key)
-    return union_all(parts)
+    labeled: dict[Graph, Graph] = {}  # each distinct part, labeled once
+    for part, _ in decomp:
+        if part not in labeled:
+            labeled[part] = _connected_canonical(part)
+    return union_all(sorted((labeled[part] for part, _ in decomp), key=part_sort_key))
 
 
 def part_sort_key(p: Graph) -> tuple[int, int, int]:

@@ -8,11 +8,13 @@ them decides the matching number of g with a few edges removed and added: a
 warm-started matching from below, a Tutte-Berge bound from above, and blossom
 searches only when the two differ.  all_maximum_matchings enumerates every
 maximum matching by a decision search on the lowest live vertex, pruned by
-exact feasibility checks.  extremal_matching picks, among maximum matchings,
-one maximizing sum (x_u + x_v)^2, component by component, since both the
-matchings and the weight split over components; proper_ordering and
-edge_partition then fix the vertex orientation and the E1/E2 edge split that
-the rewiring lemmas consume.
+exact feasibility checks: the matching number of the live vertices, found on
+the adjacency lists cut down to them.  extremal_matching picks, among
+maximum matchings, one maximizing sum (x_u + x_v)^2, component by component,
+since both the matchings and the weight split over components; each
+distinct component is enumerated once, and each copy weighs that list by its
+own entries.  proper_ordering and edge_partition then fix the vertex
+orientation and the E1/E2 edge split that the rewiring lemmas consume.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _bits, components, induced_subgraph
+from .graphs import Graph, _bits, components
 
 # Matchings within this weight of the best are treated as tied, and vertex
 # orientations with |x_u - x_v| inside it fall back to index order; keeps the
@@ -85,6 +87,8 @@ def _find_augmenting(n: int, adj: list[list[int]], match: list[int], root: int) 
     bitmask of the search tree's outer vertices: those that an even
     alternating path reaches from root, root included.
     """
+    if not adj[root]:  # an isolated root is its whole search tree
+        return 1 << root
     parent = [-1] * n
     base = list(range(n))
     in_tree = [False] * n
@@ -316,26 +320,29 @@ def all_maximum_matchings(g: Graph, guard: int = ENUMERATION_GUARD) -> list[Matc
     Decision search on the lowest still-live vertex: match it to each live
     neighbor, or leave it unmatched.  A branch survives only if the matching
     number of the residual graph keeps the maximum reachable, so the tree
-    never walks dead ends; each maximum matching appears exactly once.
+    never walks dead ends; each maximum matching appears exactly once.  That
+    matching number comes from a blossom run on g's adjacency lists cut down
+    to the live vertices, cached by their mask.
     """
     if g.n > guard:
         raise ValueError(f"vertex count {g.n} exceeds enumeration guard {guard}")
-    beta = matching_number(g)
-    full = (1 << g.n) - 1
-    residual_cache: dict[int, int] = {full: beta}
+    n = g.n
+    neighbors = [g.neighbors(v) for v in range(n)]
+    residual_cache: dict[int, int] = {}
 
     def residual_beta(mask: int) -> int:
+        """nu of g restricted to mask, on the adjacency lists cut down to it."""
         cached = residual_cache.get(mask)
         if cached is None:
-            verts = []
-            m = mask
-            while m:
-                low = m & -m
-                verts.append(low.bit_length() - 1)
-                m ^= low
-            cached = matching_number(induced_subgraph(g, verts))
-            residual_cache[mask] = cached
+            adj = [[w for w in nbrs if mask >> w & 1] if mask >> v & 1 else []
+                   for v, nbrs in enumerate(neighbors)]
+            match = [-1] * n
+            _maximize(n, adj, match)
+            cached = residual_cache[mask] = sum(1 for v in range(n) if match[v] > v)
         return cached
+
+    full = (1 << n) - 1
+    beta = residual_beta(full)
 
     out: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
@@ -381,6 +388,8 @@ def extremal_matching(g: Graph, x: np.ndarray) -> Matching:
 
     Maximum matchings and the weight both split over components, so each
     component with edges gets its own matching and the results are joined.
+    A component equal to an earlier one (same masks) reuses its list of
+    maximum matchings, but makes its own choice by its own entries.
     Within a component, ties within WEIGHT_TIE_TOL of its best weight are
     broken by taking the lexicographically least edge tuple.  The join is
     then the least of all joins of tied matchings: on matchings of one size,
@@ -392,11 +401,14 @@ def extremal_matching(g: Graph, x: np.ndarray) -> Matching:
     if g.m == 0:
         raise ValueError("graph has no edges; no matching to select")
     edges: list[tuple[int, int]] = []
+    enumerated: dict[Graph, list[Matching]] = {}  # each distinct part, enumerated once
     for part, verts in components(g):
         if part.m == 0:
             continue
         x_part = x[list(verts)]
-        candidates = all_maximum_matchings(part)
+        candidates = enumerated.get(part)
+        if candidates is None:
+            candidates = enumerated[part] = all_maximum_matchings(part)
         weights = [matching_weight(mm, x_part) for mm in candidates]
         best = max(weights)
         tied = [mm for mm, w in zip(candidates, weights) if w >= best - WEIGHT_TIE_TOL]

@@ -5,8 +5,9 @@ Q(G) = D(G) + A(G) is symmetric, so a dense symmetric eigensolve
 the spectral gap; vertex counts stay at most 62.  Every returned pair is then
 checked apart from the solver: the vector is put in Perron sign (entrywise
 absolute value, renormalized), q is its Rayleigh quotient, and ||Qx - qx||_2
-must be within the residual tolerance.  `q_radius` solves each component on
-its own, and on a connected graph a nonnegative eigenvector belongs to the
+must be within the residual tolerance.  `q_radius` solves each distinct
+component once (a repeated component, with equal masks, has the same
+radius), and on a connected graph a nonnegative eigenvector belongs to the
 top eigenvalue, so there the check certifies q(G) itself; the radius of a
 disconnected graph is the max over components, reported with an eigenvector
 supported on one extremal component and zero elsewhere.  `q_radii` returns
@@ -115,18 +116,23 @@ def q_radius(g: Graph, residual_tol: float = RESIDUAL_TOL) -> SpectralData:
 
     Disconnected input: the per-component radii are compared and the largest
     wins; a later component must beat the incumbent by more than 1e-12, so
-    exact ties go to the smallest component index.  The eigenvector is padded
-    with zeros outside the winning component (still an eigenvector of the
-    whole graph, since the zero rows see only zero neighbors).  Raises
-    ArithmeticError when no pair within residual_tol is found.
+    exact ties go to the smallest component index.  A component equal to an
+    earlier one (same masks) is not solved again: it could not win.  The
+    eigenvector is padded with zeros outside the winning component (still an
+    eigenvector of the whole graph, since the zero rows see only zero
+    neighbors).  Raises ArithmeticError when no pair within residual_tol is
+    found.
     """
     if g.m == 0:
         return SpectralData(0.0, np.zeros(g.n), 0.0, -1)
     decomp = components(g)
     best: tuple[float, np.ndarray, float, int, tuple[int, ...]] | None = None
+    solved: set[Graph] = set()
     for idx, (part, verts) in enumerate(decomp):
-        if part.m == 0:
+        # a copy of a solved part has its radius, which cannot beat the best
+        if part.m == 0 or part in solved:
             continue
+        solved.add(part)
         q, x, residual = _top_pairs(q_matrix(part)[None], residual_tol)
         if best is None or q[0] > best[0] + _COMPONENT_TIE_EPS:
             best = (float(q[0]), x[0], float(residual[0]), idx, verts)

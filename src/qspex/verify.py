@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .family import FamilyParams, extremal_params, predicted_maximizers
-from .graphs import Graph, canonical_graph, induced_subgraph, to_graph6
+from .graphs import Graph, canonical_graph, to_graph6
 from .matching import Matching, OrderedMatching, extremal_matching, proper_ordering
 from .search import DEFAULT_GUARD, EnumerationQuery, brute_force_max, class_size
 from .spectral import SpectralData, q_radius
@@ -81,8 +81,11 @@ def check_lemma2(
 
 
 def _induces_2k2_or_k4(g: Graph, quad: tuple[int, int, int, int]) -> bool:
-    sub = induced_subgraph(g, quad)
-    return sub.m == 2 or sub.m == 6  # two matching edges only, or all six pairs
+    mask = 0
+    for v in quad:
+        mask |= 1 << v
+    edges = sum((g.neighbors_mask(v) & mask).bit_count() for v in quad) // 2
+    return edges == 2 or edges == 6  # two matching edges only, or all six pairs
 
 
 def check_lemma3(

@@ -396,6 +396,14 @@ def family_graphs(draw) -> Graph:
 
 
 @st.composite
+def repeated_unions(draw, max_n: int = 5, max_parts: int = 5) -> Graph:
+    """Small graphs side by side, drawn with repetition and not relabeled, so
+    each repeated draw gives components with equal masks."""
+    kinds = draw(st.lists(graphs(min_n=1, max_n=max_n), min_size=1, max_size=3))
+    return union_all(draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_parts)))
+
+
+@st.composite
 def cubic_like_graphs(draw) -> Graph:
     """A cycle plus a random perfect matching of chords: mostly 3-regular
     and not vertex-transitive, so refinement alone splits no cell and the

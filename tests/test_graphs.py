@@ -34,6 +34,7 @@ from helpers import (
     oracle_refine,
     random_graph,
     ref_graph6_encode,
+    repeated_unions,
     rewirings,
     sparse_graphs,
     star_like_graphs,
@@ -199,6 +200,14 @@ class TestComponents:
         g = disjoint_union(K2, K3)
         assert g.n == 5 and g.edges() == [(0, 1), (2, 3), (2, 4), (3, 4)]
         assert union_all([]).n == 0
+        assert union_all([K2, K3, K2]) == disjoint_union(disjoint_union(K2, K3), K2)
+
+    def test_union_past_62_vertices_raises(self):
+        assert union_all([K2] * 31).n == GRAPH6_MAX_N
+        with pytest.raises(ValueError, match="disjoint union exceeds supported vertex range"):
+            union_all([K2] * 32)
+        with pytest.raises(ValueError, match="disjoint union exceeds supported vertex range"):
+            disjoint_union(union_all([K3] * 20), K3)
 
     def test_connected_graph_is_its_own_part(self):
         decomp = components(P4)
@@ -340,6 +349,22 @@ class TestCanonical:
         # the skipped ones repeat a visited key
         assert canonical_graph(g) == oracle_canonical_graph(g)
 
+    @given(st.one_of(family_graphs(), repeated_unions()))
+    def test_repeated_parts_equal_the_oracle(self, g):
+        assert canonical_graph(g) == oracle_canonical_graph(g)
+
+    def test_ten_copies_label_once(self, monkeypatch):
+        calls = []
+        label = _graphs._connected_canonical
+
+        def counted(g, colors=None):
+            calls.append(g)
+            return label(g, colors)
+
+        monkeypatch.setattr(_graphs, "_connected_canonical", counted)
+        assert canonical_graph(union_all([K2] * 10)) == union_all([K2] * 10)
+        assert calls == [K2]
+
     def test_predicted_maximizers_equal_the_oracle(self):
         # twin-heavy graphs: the search labels each twin cell in one step
         rng = random.Random(12)
@@ -424,6 +449,18 @@ def generalized_petersen(n: int, k: int) -> Graph:
                             + [(n + i, n + (i + k) % n) for i in range(n)])
 
 
+def two_hub_blocks() -> Graph:
+    """Adjacent hubs 0 and 1, each with a pendant triangle and a pendant
+    path, and a third pendant path at hub 0."""
+    edges = [(0, 1)]
+    pos = 2
+    for hub, shapes in ((0, "tpp"), (1, "tp")):
+        for shape in shapes:
+            edges += [(hub, pos), (pos, pos + 1)] + ([(hub, pos + 1)] if shape == "t" else [])
+            pos += 2
+    return Graph.from_edges(pos, edges)
+
+
 class TestSymmetricLabeling:
     """Vertex-transitive and pendant-triangle graphs, where the search
     prunes by the orbits of the automorphisms it finds and returns to the
@@ -432,8 +469,8 @@ class TestSymmetricLabeling:
     @pytest.mark.parametrize(
         "g",
         [rook_graph(7), hypercube(5), paley_graph(61), line_graph_of_complete(8),
-         build_s(2, 0, 29)],
-        ids=["rook7", "Q5", "Paley61", "L(K8)", "S(2,0,29)"],
+         build_s(2, 0, 29), build_s(2, 29, 0)],
+        ids=["rook7", "Q5", "Paley61", "L(K8)", "S(2,0,29)", "S(2,29,0)"],
     )
     def test_relabelings_agree(self, g):
         rng = random.Random(g.n)
@@ -449,8 +486,10 @@ class TestSymmetricLabeling:
         [generalized_petersen(5, 2), hypercube(4), rook_graph(4), build_s(2, 0, 5),
          # cubic but not vertex-transitive: automorphisms found below one
          # root child need not fix the vertex of the next
-         generalized_petersen(7, 2)],
-        ids=["Petersen", "Q4", "rook4", "S(2,0,5)", "GP(7,2)"],
+         generalized_petersen(7, 2),
+         # pendant blocks: paths and triangles at one hub, and at two hubs
+         build_s(1, 3, 2), two_hub_blocks()],
+        ids=["Petersen", "Q4", "rook4", "S(2,0,5)", "GP(7,2)", "S(1,3,2)", "two hubs"],
     )
     def test_equals_the_oracle(self, g):
         perm = list(range(g.n))
@@ -476,6 +515,23 @@ class TestSymmetricLabeling:
         monkeypatch.setattr(_graphs, "_refine", counted)
         perm = list(range(g.n))
         random.Random(5).shuffle(perm)
+        canonical_graph(induced_subgraph(g, perm))
+        assert len(calls) <= 2 * g.n
+
+    @pytest.mark.parametrize("abc", [(2, 0, 29), (2, 29, 0)], ids=["S(2,0,29)", "S(2,29,0)"])
+    def test_pendant_blocks_bound_the_search(self, abc, monkeypatch):
+        # 29 refinements each; before blocks were swapped, 437 and 435
+        calls = []
+        refine = _graphs._refine
+
+        def counted(adj, colors):
+            calls.append(colors)
+            return refine(adj, colors)
+
+        monkeypatch.setattr(_graphs, "_refine", counted)
+        g = build_s(*abc)
+        perm = list(range(g.n))
+        random.Random(7).shuffle(perm)
         canonical_graph(induced_subgraph(g, perm))
         assert len(calls) <= 2 * g.n
 

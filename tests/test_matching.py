@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspex.family import build_h, build_s
-from qspex.graphs import Graph, disjoint_union, induced_subgraph, union_all
+from qspex import matching
+from qspex.family import build_h, build_s, predicted_extremal
+from qspex.graphs import Graph, components, disjoint_union, induced_subgraph, union_all
 from qspex.matching import (
     ENUMERATION_GUARD,
     MatchedGraph,
@@ -28,6 +29,7 @@ from helpers import (
     oracle_extremal_matching,
     oracle_matching_number,
     random_graph,
+    repeated_unions,
     rewirings,
     sparse_graphs,
 )
@@ -158,6 +160,13 @@ class TestAllMaximumMatchings:
         found = {m.edges for m in all_maximum_matchings(g)}
         assert found == oracle_all_matchings_of_size(g, beta)
 
+    def test_equals_oracle_up_to_12_vertices(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_graph(rng, max_n=12, p=rng.choice([0.15, 0.25, 0.3]))
+            found = [m.edges for m in all_maximum_matchings(g)]
+            assert found == sorted(oracle_all_matchings_of_size(g, oracle_matching_number(g)))
+
     def test_sorted_and_distinct(self):
         ms = all_maximum_matchings(cycle(5))
         assert ms == sorted(ms, key=lambda m: m.edges)
@@ -248,6 +257,37 @@ class TestExtremalSelection:
         assert extremal_matching(u, x).edges == oracle_extremal_matching(u, x)
         x = q_radius(u).x
         assert extremal_matching(u, x).edges == oracle_extremal_matching(u, x)
+
+    @given(repeated_unions(max_n=4, max_parts=3), st.data())
+    def test_copies_choose_apart(self, g, data):
+        # copies share their list of maximum matchings, not the choice: each
+        # copy is weighed by its own entries
+        if g.m == 0:
+            return
+        x = np.array(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)), float)
+        assert extremal_matching(g, x).edges == oracle_extremal_matching(g, x)
+        x = q_radius(g).x
+        assert extremal_matching(g, x).edges == oracle_extremal_matching(g, x)
+
+    def test_predicted_maximizers_with_copies(self):
+        for m, beta in [(4, 4), (6, 4), (8, 5), (9, 6), (10, 6), (10, 9)]:
+            g = predicted_extremal(m, beta)
+            assert len({part for part, _ in components(g)}) < len(components(g))
+            for x in (q_radius(g).x, np.arange(g.n, dtype=float) % 3):
+                assert extremal_matching(g, x).edges == oracle_extremal_matching(g, x)
+
+    def test_ten_copies_enumerate_once(self, monkeypatch):
+        calls = []
+        enumerate_all = matching.all_maximum_matchings
+
+        def counted(g, *args):
+            calls.append(g)
+            return enumerate_all(g, *args)
+
+        monkeypatch.setattr(matching, "all_maximum_matchings", counted)
+        g = union_all([Graph.from_edges(2, [(0, 1)])] * 10)
+        assert extremal_matching(g, np.arange(20, dtype=float)).size == 10
+        assert len(calls) == 1
 
     def test_components_each_count_against_the_guard(self):
         # 11*K2 has 22 vertices, past the enumeration guard of 20, but each

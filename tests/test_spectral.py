@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qspex import spectral
 from qspex.family import build_h, build_s
-from qspex.graphs import Graph, components, disjoint_union
+from qspex.graphs import Graph, components, disjoint_union, union_all
 from qspex.spectral import (
     RESIDUAL_TOL,
     SpectralData,
@@ -20,7 +20,15 @@ from qspex.spectral import (
     rayleigh_sum,
 )
 
-from helpers import graphs, oracle_power_q, oracle_q_radius, q_gap, random_graph
+from helpers import (
+    family_graphs,
+    graphs,
+    oracle_power_q,
+    oracle_q_radius,
+    q_gap,
+    random_graph,
+    repeated_unions,
+)
 
 
 def star(m):
@@ -214,6 +222,43 @@ class TestDisconnected:
         assert s.q == pytest.approx(2.0, abs=1e-9)
         # components: {0}, {1}, {2}, {3,4} -- the edge lives in component 3
         assert s.support_component == 3
+
+
+class TestRepeatedComponents:
+    """A part repeated with equal masks is solved once, and a copy never
+    takes the support from its original."""
+
+    @given(st.one_of(family_graphs(), repeated_unions()))
+    def test_matches_oracle(self, g):
+        s = q_radius(g)
+        assert s.q == pytest.approx(oracle_q_radius(g), abs=1e-9)
+        if g.m:
+            radii = [oracle_q_radius(part) for part, _ in components(g)]
+            first = next(i for i, q in enumerate(radii) if q >= max(radii) - 1e-9)
+            assert s.support_component == first
+            assert eigen_equation_check(g, s) <= 1e-9
+
+    def test_first_copy_keeps_the_support(self):
+        p3 = path(3)
+        s = q_radius(union_all([p3, Graph.from_edges(2, [(0, 1)]), p3]))
+        assert s.support_component == 0
+        assert s.x[:3].all() and not s.x[3:].any()
+        s = q_radius(union_all([Graph.from_edges(2, [(0, 1)]), complete(3), complete(3)]))
+        assert s.support_component == 1
+        assert s.x[2:5].all() and not s.x[:2].any() and not s.x[5:].any()
+
+    def test_ten_copies_solve_once(self, monkeypatch):
+        calls = []
+        top_pairs = spectral._top_pairs
+
+        def counted(qs, residual_tol):
+            calls.append(len(qs))
+            return top_pairs(qs, residual_tol)
+
+        monkeypatch.setattr(spectral, "_top_pairs", counted)
+        s = q_radius(union_all([Graph.from_edges(2, [(0, 1)])] * 10))
+        assert calls == [1]
+        assert s.q == pytest.approx(2.0, abs=1e-12) and s.support_component == 0
 
 
 class TestRayleigh:

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from qspex.family import build_h, build_s, predicted_extremal
-from qspex.graphs import Graph, canonical_graph, from_graph6, to_graph6
+from qspex.graphs import Graph, canonical_graph, from_graph6, induced_subgraph, to_graph6
 from qspex.matching import Matching, OrderedMatching, extremal_matching, proper_ordering
 from qspex.spectral import SpectralData, q_radius
 from qspex import verify
@@ -53,6 +55,17 @@ class TestLemma2:
 
 
 class TestLemma3:
+    def test_quadruple_shape_equals_induced_subgraph(self):
+        rng = random.Random(4)
+        for n in range(4, 9):
+            pairs = list(combinations(range(n), 2))
+            for _ in range(10):
+                g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5])
+                for quad in combinations(range(n), 4):
+                    quad = tuple(rng.sample(quad, 4))
+                    want = induced_subgraph(g, quad).m in (2, 6)
+                    assert verify._induces_2k2_or_k4(g, quad) == want
+
     def test_h1_ordinary_pair(self):
         g = build_h(1)
         s = q_radius(g)
