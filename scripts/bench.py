@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Time the verification pipeline end to end and layer by layer, and write
+BENCH_<sha>.json.
+
+Each repetition runs two tasks, each in a fresh interpreter, so the catalog
+starts empty:
+
+- the sweep: verify_theorem1 and its CSV report for every (m, beta) with
+  1 <= beta <= m <= --m-max, timed as a whole.  With every level built, the
+  same process then times, per call: each beta >= 2 verdict again,
+  q_radius on every catalog graph, canonical_graph on every catalog graph
+  under a seeded relabeling, and the hill climber per step from seeded
+  random starts;
+- the catalog: connected_catalog(k) for k = 1 .. --m-max, one level per call.
+
+The file records the median over repetitions of the sweep time, of each
+level's growth time and of each per-call median, with the sample counts, the
+machine (nproc, Python and numpy versions) and the source measured: the git
+sha of HEAD, whether src/ differs from it (then the name ends in -dirty), and
+a sha256 of the qspex sources.
+
+Examples:
+    PYTHONPATH=src python scripts/bench.py                  # bench/BENCH_<sha>.json
+    PYTHONPATH=src python scripts/bench.py --m-max 8 --repeats 3 --out-dir /tmp
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import multiprocessing
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+# climber starts: m edges drawn among the pairs of n vertices, as (m, n)
+CLIMB_STRATA = ((8, 8), (10, 8), (12, 9))
+SEED = 1  # of the relabelings and the climber starts
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--m-max", type=int, default=10,
+                        help="largest edge count of the sweep and the catalog (default: 10)")
+    parser.add_argument("--repeats", type=int, default=9,
+                        help="fresh-process repetitions of each task (default: 9)")
+    parser.add_argument("--climbs", type=int, default=30,
+                        help="climber starts per repetition (default: 30)")
+    parser.add_argument("--out-dir", type=Path, default=REPO / "bench",
+                        help="directory of the BENCH file (default: bench/)")
+    args = parser.parse_args(argv)
+    for name in ("m_max", "repeats"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name.replace('_', '-')} must be at least 1")
+    if args.climbs < 0:
+        parser.error("--climbs must be nonnegative")
+    return args
+
+
+def _per_call(fn, items) -> list[float]:
+    times = []
+    for item in items:
+        t0 = time.perf_counter()
+        fn(item)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def _median(times: list[float]) -> float | None:
+    return statistics.median(times) if times else None
+
+
+def sweep_task(m_max: int, climbs: int) -> dict:
+    """The sweep from an empty catalog, then per-call layer timings."""
+    from qspex.graphs import Graph, canonical_graph, induced_subgraph
+    from qspex.matching import matching_number
+    from qspex.search import EnumerationQuery, connected_catalog, hill_climb
+    from qspex.spectral import q_radius
+    from qspex.verify import emit_report, verify_theorem1
+
+    queries = [(m, beta) for beta in range(1, m_max + 1) for m in range(beta, m_max + 1)]
+    t0 = time.perf_counter()
+    for m, beta in queries:
+        emit_report(verify_theorem1(m, beta), "csv")
+    sweep_s = time.perf_counter() - t0
+
+    verdicts = _per_call(lambda q: verify_theorem1(*q), [q for q in queries if q[1] >= 2])
+    catalog = [g for k in range(1, m_max + 1) for g, _ in connected_catalog(k)]
+    radii = _per_call(q_radius, catalog)
+    rng = random.Random(SEED)
+    relabeled = [induced_subgraph(g, rng.sample(range(g.n), g.n)) for g in catalog]
+    labelings = _per_call(canonical_graph, relabeled)
+
+    steps = []
+    for i in range(climbs):
+        m, n = CLIMB_STRATA[i % len(CLIMB_STRATA)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        start = Graph.from_edges(n, rng.sample(pairs, m))
+        query = EnumerationQuery(m, matching_number(start), "exact")
+        t0 = time.perf_counter()
+        trace = hill_climb(start, query)
+        if trace.steps:
+            steps.append((time.perf_counter() - t0) / len(trace.steps))
+    return {
+        "sweep_s": sweep_s,
+        "verdict_s": _median(verdicts),
+        "q_radius_graph_s": _median(radii),
+        "canonical_graph_call_s": _median(labelings),
+        "climb_step_s": _median(steps),
+        "samples": {"verdicts": len(verdicts), "q_radius_graphs": len(radii),
+                    "canonical_graph_calls": len(labelings), "climbs_with_steps": len(steps)},
+    }
+
+
+def catalog_task(m_max: int) -> dict[str, float]:
+    """Seconds to grow each catalog level from the one below, from empty."""
+    from qspex.search import connected_catalog
+
+    levels = {}
+    for k in range(1, m_max + 1):
+        t0 = time.perf_counter()
+        connected_catalog(k)
+        levels[str(k)] = time.perf_counter() - t0
+    return levels
+
+
+def _fresh(fn, *args):
+    """fn(*args) in a new interpreter, which imports qspex afresh."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def _git(*args: str) -> str:
+    try:
+        out = subprocess.run(["git", *args], cwd=REPO, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+    return out.stdout.strip()
+
+
+def source_info() -> dict:
+    digest = hashlib.sha256()
+    for path in sorted((REPO / "src" / "qspex").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {
+        "sha": _git("rev-parse", "HEAD") or "unknown",
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src")),
+        "source_sha256": digest.hexdigest(),
+    }
+
+
+def run(args) -> dict:
+    import numpy
+
+    sweeps = [_fresh(sweep_task, args.m_max, args.climbs) for _ in range(args.repeats)]
+    growth = [_fresh(catalog_task, args.m_max) for _ in range(args.repeats)]
+
+    def median_of(key: str) -> float | None:
+        values = [s[key] for s in sweeps if s[key] is not None]
+        return statistics.median(values) if values else None
+
+    return {
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
+        "git": source_info(),
+        "settings": {"m_max": args.m_max, "repeats": args.repeats,
+                     "climbs": args.climbs, "seed": SEED},
+        "sweep_s": median_of("sweep_s"),
+        "sweep_runs_s": [s["sweep_s"] for s in sweeps],
+        "layers": {
+            "catalog_level_s": {
+                k: statistics.median(g[k] for g in growth) for k in growth[0]
+            },
+            "canonical_graph_call_s": median_of("canonical_graph_call_s"),
+            "q_radius_graph_s": median_of("q_radius_graph_s"),
+            "verdict_s": median_of("verdict_s"),
+            "climb_step_s": median_of("climb_step_s"),
+        },
+        "samples": sweeps[0]["samples"],
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    result = run(args)
+    git = result["git"]
+    name = f"BENCH_{git['sha'][:12]}{'-dirty' if git['dirty'] else ''}.json"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / name
+    path.write_text(json.dumps(result, indent=2) + "\n", encoding="ascii")
+    print(f"wrote {path}: sweep {result['sweep_s']:.3f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

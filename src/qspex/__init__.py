@@ -10,7 +10,6 @@ from .graphs import (
     canonical_form,
     canonical_graph,
     components,
-    disjoint_union,
     from_graph6,
     induced_subgraph,
     is_isomorphic,

@@ -75,9 +75,6 @@ class Graph:
     def add_edge(self, e: tuple[int, int]) -> "Graph":
         return self.rewire((), (e,))
 
-    def remove_edge(self, e: tuple[int, int]) -> "Graph":
-        return self.rewire((e,), ())
-
     def rewire(
         self, removed: Iterable[tuple[int, int]], added: Iterable[tuple[int, int]]
     ) -> "Graph":
@@ -256,10 +253,6 @@ def strip_isolated(g: Graph) -> Graph:
     """Drop degree-0 vertices, keeping the relative order of the rest."""
     keep = [v for v in range(g.n) if g._adj[v]]
     return induced_subgraph(g, keep)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    return union_all((g, h))
 
 
 def union_all(parts: Iterable[Graph]) -> Graph:

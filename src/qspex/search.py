@@ -7,6 +7,10 @@ and matching number add over pieces and the radius is their max, so pieces
 are grouped into cells (k, b) by both: class sizes are the Euler transform of
 the cell sizes, a class maximum is the best cell maximum Qc(k, b) whose
 remainder class is non-empty, and only the argmax and one class are built.
+Each catalog level is solved in one spectral.q_pairs batch, which keeps the
+certified pair of every piece within ARGMAX_BAND of its cell maximum, so a
+maximizer's spectrum is read from its pieces (maximizer_spectrum) instead of
+solved again.
 
 The catalog grows by edge/leaf augmentation: every connected graph h with
 k+1 edges arises from a connected graph with k edges by adding an edge
@@ -44,6 +48,8 @@ from operator import itemgetter
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 from .family import predicted_maximizers
 from .graphs import (
     Graph,
@@ -57,7 +63,7 @@ from .graphs import (
     union_all,
 )
 from .matching import MatchedGraph
-from .spectral import Q_MARGIN, q_radii, q_radius
+from .spectral import Q_MARGIN, SpectralData, extremal_component, q_pairs, q_radii, q_radius
 from .transform import ROTATION_MARGIN, candidate_moves, move_detail
 
 DEFAULT_GUARD = 10  # enumeration refuses edge counts beyond this unless raised
@@ -247,18 +253,32 @@ def _is_bridge(adj: list[int], u: int, v: int) -> bool:
 
 
 # _levels[k]: radii of connected_catalog(k) in catalog order, solved in one batch
-# when a class first needs level k, and Qc(k, b) by b; _cells: pieces of levels
-# 1..M (M the largest m asked for) in cells (k, b) ordered by k, then b.
+# when a class first needs level k, and Qc(k, b) by b; _kept: the certified pair
+# (q, x, residual) from that batch of each piece within ARGMAX_BAND of its cell
+# maximum, the only pieces that can be or tie with a maximizer's extremal
+# component; _cells: pieces of levels 1..M (M the largest m asked for) in cells
+# (k, b) ordered by k, then b.
 _levels: dict[int, tuple[list[float], dict[int, float]]] = {}
+_kept: dict[Graph, tuple[float, np.ndarray, float]] = {}
 _cells: list[tuple[int, int, list[Graph]]] = []
 
 
 def _level(k: int) -> tuple[list[float], dict[int, float]]:
     if k not in _levels:
         catalog = connected_catalog(k)
-        radii = q_radii([g for g, _ in catalog])
+        radii = [0.0] * len(catalog)
+        batches = list(q_pairs([g for g, _ in catalog]))
+        for chunk, q, _, _ in batches:
+            for i, value in zip(chunk, q.tolist()):
+                radii[i] = value
         # in ascending order, the last radius kept for each b is the cell maximum
-        _levels[k] = radii, dict(sorted((b, q) for (_, b), q in zip(catalog, radii)))
+        cell_max = dict(sorted((b, q) for (_, b), q in zip(catalog, radii)))
+        for chunk, _, x, residual in batches:
+            for j, i in enumerate(chunk):
+                g, b = catalog[i]
+                if radii[i] >= cell_max[b] - ARGMAX_BAND:
+                    _kept[g] = radii[i], x[j].copy(), float(residual[j])
+        _levels[k] = radii, cell_max
     return _levels[k]
 
 
@@ -360,6 +380,22 @@ def brute_force_max(
         for rest in _walk(m - k, lo - b, hi - b, last)
     }
     return best, sorted(argmax, key=to_graph6)
+
+
+def maximizer_spectrum(g: Graph) -> SpectralData:
+    """q_radius(g), bit for bit, for a member of a brute_force_max argmax,
+    read from the pairs its catalog levels kept instead of solved again.
+
+    A member joins a piece within ARGMAX_BAND of its cell maximum, whose pair
+    is kept, with a remainder; the predicted maximizers' remainder d*K2 is
+    kept too.  When every component with edges has a kept pair, those are
+    the pairs q_radius would solve (see q_pairs) and extremal_component
+    applies q_radius's rule to them; otherwise g is solved by q_radius.
+    """
+    try:
+        return extremal_component(g, _kept.__getitem__)
+    except KeyError:
+        return q_radius(g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,24 @@ Q(G) = D(G) + A(G) is symmetric, so a dense symmetric eigensolve
 the spectral gap; vertex counts stay at most 62.  Every returned pair is then
 checked apart from the solver: the vector is put in Perron sign (entrywise
 absolute value, renormalized), q is its Rayleigh quotient, and ||Qx - qx||_2
-must be within the residual tolerance.  `q_radius` solves each distinct
-component once (a repeated component, with equal masks, has the same
-radius), and on a connected graph a nonnegative eigenvector belongs to the
-top eigenvalue, so there the check certifies q(G) itself; the radius of a
-disconnected graph is the max over components, reported with an eigenvector
-supported on one extremal component and zero elsewhere.  `q_radii` returns
-radii alone, solving many whole graphs per batched call without a component
-split.  Verdict radii come from it on connected graphs only; on the
-climber's disconnected graphs that the eigenvalue is the top one rests on
-eigh's ascending order.
+must be within the residual tolerance.  On a connected graph a nonnegative
+eigenvector belongs to the top eigenvalue, so there the check certifies q(G)
+itself.  The radius of a disconnected graph is the max over components,
+reported with an eigenvector supported on one extremal component and zero
+elsewhere; `extremal_component` holds that rule and is fed pairs two ways:
+`q_radius` solves each distinct component once (a repeated component, with
+equal masks, has the same radius), and the verdicts read the pairs their
+catalog levels kept (search.maximizer_spectrum).  `q_pairs` is the one
+batched solve: it stacks many whole graphs per eigh call without a component
+split.  The catalog levels get their pairs from it, and `q_radii`, the
+climber's radii, reads its eigenvalues; on the climber's disconnected graphs
+that the eigenvalue is the top one rests on eigh's ascending order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,31 +113,31 @@ def _top_pairs(
     return q, x, residual
 
 
-def q_radius(g: Graph, residual_tol: float = RESIDUAL_TOL) -> SpectralData:
-    """Largest eigenvalue of Q(G) with a unit nonnegative eigenvector.
+def extremal_component(
+    g: Graph, pair: Callable[[Graph], tuple[float, np.ndarray, float]]
+) -> SpectralData:
+    """The radius of g as the max over its components, where pair(part)
+    gives the certified (q, x, residual) of a component with edges.
 
-    Disconnected input: the per-component radii are compared and the largest
-    wins; a later component must beat the incumbent by more than 1e-12, so
-    exact ties go to the smallest component index.  A component equal to an
-    earlier one (same masks) is not solved again: it could not win.  The
+    A later component must beat the incumbent by more than 1e-12, so exact
+    ties go to the smallest component index.  A component equal to an earlier
+    one (same masks) is not asked for again: it could not win.  The
     eigenvector is padded with zeros outside the winning component (still an
     eigenvector of the whole graph, since the zero rows see only zero
-    neighbors).  Raises ArithmeticError when no pair within residual_tol is
-    found.
+    neighbors).  A graph with no edges gets q = 0, the zero vector and
+    support -1.
     """
     if g.m == 0:
         return SpectralData(0.0, np.zeros(g.n), 0.0, -1)
-    decomp = components(g)
     best: tuple[float, np.ndarray, float, int, tuple[int, ...]] | None = None
-    solved: set[Graph] = set()
-    for idx, (part, verts) in enumerate(decomp):
-        # a copy of a solved part has its radius, which cannot beat the best
-        if part.m == 0 or part in solved:
+    seen: set[Graph] = set()
+    for idx, (part, verts) in enumerate(components(g)):
+        if part.m == 0 or part in seen:
             continue
-        solved.add(part)
-        q, x, residual = _top_pairs(q_matrix(part)[None], residual_tol)
-        if best is None or q[0] > best[0] + _COMPONENT_TIE_EPS:
-            best = (float(q[0]), x[0], float(residual[0]), idx, verts)
+        seen.add(part)
+        q, x, residual = pair(part)
+        if best is None or q > best[0] + _COMPONENT_TIE_EPS:
+            best = (q, x, residual, idx, verts)
     assert best is not None
     q, x_part, residual, idx, verts = best
     x = np.zeros(g.n)
@@ -143,18 +145,33 @@ def q_radius(g: Graph, residual_tol: float = RESIDUAL_TOL) -> SpectralData:
     return SpectralData(q, x, residual, idx)
 
 
-def q_radii(graphs: Sequence[Graph]) -> list[float]:
-    """q(G) for each graph, without eigenvectors, within RESIDUAL_TOL.
-
-    The top eigenvalue of the whole Q(G) is already the max over components,
-    so no component split is made.  Verdict radii come from here on connected
-    catalog pieces (search.brute_force_max), where the check certifies the
-    top eigenvalue; only the climber passes disconnected graphs, on which the
-    certified eigenpair is the top one by eigh's ordering.  Graphs with the
-    same vertex count are stacked, at most 128 to one eigh call; a graph
-    without edges gets 0.0.  Agrees with q_radius(g).q to rounding.
+def q_radius(g: Graph, residual_tol: float = RESIDUAL_TOL) -> SpectralData:
+    """Largest eigenvalue of Q(G) with a unit nonnegative eigenvector, each
+    distinct component solved on its own and the winner picked by
+    extremal_component.  Raises ArithmeticError when no pair within
+    residual_tol is found.
     """
-    radii = [0.0] * len(graphs)
+
+    def solve(part: Graph) -> tuple[float, np.ndarray, float]:
+        q, x, residual = _top_pairs(q_matrix(part)[None], residual_tol)
+        return float(q[0]), x[0], float(residual[0])
+
+    return extremal_component(g, solve)
+
+
+def q_pairs(
+    graphs: Sequence[Graph],
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """Certified top pairs of whole graphs, within RESIDUAL_TOL, without a
+    component split: per batch, the indices of its graphs in `graphs` and
+    their radii, eigenvectors (one row each) and residuals.
+
+    Graphs with the same vertex count are stacked, at most 128 to one eigh
+    call; graphs without edges are left out.  On a connected graph the pair
+    is bit for bit the one q_radius solves for it, since eigh and the check
+    treat each matrix of a stack on its own.  On a disconnected graph, that
+    the eigenvalue is the top one rests on eigh's ascending order.
+    """
     by_n: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         if g.m:
@@ -163,9 +180,20 @@ def q_radii(graphs: Sequence[Graph]) -> list[float]:
         for lo in range(0, len(idx), _CHUNK):
             chunk = idx[lo : lo + _CHUNK]
             masks = np.array([_adjacency_masks(graphs[i]) for i in chunk], dtype=np.int64)
-            q, _, _ = _top_pairs(_q_stack(masks), RESIDUAL_TOL)
-            for i, value in zip(chunk, q.tolist()):
-                radii[i] = value
+            yield (chunk, *_top_pairs(_q_stack(masks), RESIDUAL_TOL))
+
+
+def q_radii(graphs: Sequence[Graph]) -> list[float]:
+    """q(G) for each graph, the radii of q_pairs; a graph without edges gets
+    0.0.  The top eigenvalue of the whole Q(G) is already the max over
+    components.  Verdict radii come from the catalog levels, connected graphs
+    on which the check certifies the top eigenvalue; the climber passes
+    disconnected graphs too.  Agrees with q_radius(g).q to rounding.
+    """
+    radii = [0.0] * len(graphs)
+    for chunk, q, _, _ in q_pairs(graphs):
+        for i, value in zip(chunk, q.tolist()):
+            radii[i] = value
     return radii
 
 

@@ -381,8 +381,8 @@ def star_like_graphs(draw) -> Graph:
     g = Graph.from_edges(n, edges)
     if draw(st.booleans()):
         a, b = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-        g = _graphs.disjoint_union(
-            g, Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        g = union_all(
+            [g, Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])]
         )
     return draw(relabeled(g))
 

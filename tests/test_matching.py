@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qspex import matching
 from qspex.family import build_h, build_s, predicted_extremal
-from qspex.graphs import Graph, components, disjoint_union, induced_subgraph, union_all
+from qspex.graphs import Graph, components, induced_subgraph, union_all
 from qspex.matching import (
     ENUMERATION_GUARD,
     MatchedGraph,
@@ -93,17 +93,9 @@ class TestMaximumMatching:
         for _ in range(40):
             g1 = random_graph(r, max_n=6)
             g2 = random_graph(r, max_n=6)
-            assert matching_number(disjoint_union(g1, g2)) == matching_number(
+            assert matching_number(union_all([g1, g2])) == matching_number(
                 g1
             ) + matching_number(g2)
-
-
-def rewired(g, removed, added):
-    for e in removed:
-        g = g.remove_edge(e)
-    for f in added:
-        g = g.add_edge(f)
-    return g
 
 
 class TestMatchedGraph:
@@ -111,7 +103,7 @@ class TestMatchedGraph:
     @given(rewirings())
     def test_rewiring_equals_oracles(self, case):
         g, removed, added = case
-        h = rewired(g, removed, added)
+        h = g.rewire(removed, added)
         got = MatchedGraph(g).rewired_matching_number(removed, added)
         assert got == oracle_matching_number(h) == matching_number(h)
 
@@ -126,7 +118,7 @@ class TestMatchedGraph:
             assert matched.size == matching_number(g)
             rotations, swaps = climber_moves(g)
             for removed, added in rotations + swaps:
-                h = rewired(g, removed, added)
+                h = g.rewire(removed, added)
                 assert matched.rewired_matching_number(removed, added) == matching_number(h)
 
     @given(st.one_of(graphs(max_n=10), sparse_graphs()))
@@ -250,7 +242,7 @@ class TestExtremalSelection:
     @given(graphs(min_n=1, max_n=5), graphs(min_n=1, max_n=5), st.data())
     def test_per_component_choice_equals_whole_graph_rule(self, g, h, data):
         # integer-valued weights give exact ties across components
-        u = disjoint_union(g, h)
+        u = union_all([g, h])
         if u.m == 0:
             return
         x = np.array(data.draw(st.lists(st.integers(0, 3), min_size=u.n, max_size=u.n)), float)
@@ -295,11 +287,11 @@ class TestExtremalSelection:
         g = union_all([Graph.from_edges(2, [(0, 1)])] * 11)
         m = extremal_matching(g, q_radius(g).x)
         assert m.edges == tuple((2 * i, 2 * i + 1) for i in range(11))
-        two_petersens = disjoint_union(PETERSEN, PETERSEN)
+        two_petersens = union_all([PETERSEN, PETERSEN])
         m = extremal_matching(two_petersens, np.ones(20))
         assert m.size == 10
         with pytest.raises(ValueError, match="guard"):
-            all_maximum_matchings(disjoint_union(two_petersens, cycle(3)))
+            all_maximum_matchings(union_all([two_petersens, cycle(3)]))
 
 
 class TestProperOrdering:

@@ -1,6 +1,7 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +11,10 @@ from qspex.graphs import (
     canonical_form,
     canonical_graph,
     is_isomorphic,
+    part_sort_key,
     strip_isolated,
     to_graph6,
+    union_all,
 )
 from qspex import search, spectral
 from qspex.matching import matching_number
@@ -25,6 +28,7 @@ from qspex.search import (
     enumerate_graphs,
     hill_climb,
     max_radius_over,
+    maximizer_spectrum,
 )
 from qspex.spectral import q_radius
 from qspex.verify import verify_theorem1
@@ -189,6 +193,7 @@ def empty_search(monkeypatch):
     """search with no catalog, no solved levels, no cells and no counts."""
     monkeypatch.setattr(search, "_catalog", {})
     monkeypatch.setattr(search, "_levels", {})
+    monkeypatch.setattr(search, "_kept", {})
     monkeypatch.setattr(search, "_cells", [])
     search._count.cache_clear()
     yield
@@ -243,12 +248,12 @@ class TestClassTable:
 
         solved = []
 
-        def counted_q_radii(graphs):
+        def counted_q_pairs(graphs):
             solved.extend(to_graph6(g) for g in graphs)
-            return radii(graphs)
+            return pairs(graphs)
 
-        radii = search.q_radii
-        monkeypatch.setattr(search, "q_radii", counted_q_radii)
+        pairs = search.q_pairs
+        monkeypatch.setattr(search, "q_pairs", counted_q_pairs)
         for m in range(1, 9):
             for beta in range(1, m + 1):
                 assert verify_theorem1(m, beta).verdict == "pass"
@@ -302,12 +307,12 @@ class TestCells:
     def test_levels_are_solved_once_in_one_batch(self, empty_search, monkeypatch):
         batches = []
 
-        def counted_q_radii(graphs):
+        def counted_q_pairs(graphs):
             batches.append([to_graph6(g) for g in graphs])
-            return radii(graphs)
+            return pairs(graphs)
 
-        radii = search.q_radii
-        monkeypatch.setattr(search, "q_radii", counted_q_radii)
+        pairs = search.q_pairs
+        monkeypatch.setattr(search, "q_pairs", counted_q_pairs)
         assert verify_theorem1(10, 1).verdict == "pass"
         assert batches == [
             [to_graph6(g) for g, _ in connected_catalog(k)] for k in range(1, 11)
@@ -315,6 +320,42 @@ class TestCells:
         for beta in range(2, 11):
             assert verify_theorem1(10, beta).verdict == "pass"
         assert len(batches) == 10
+
+
+class TestMaximizerSpectrum:
+    def assert_is_q_radius(self, g):
+        s, want = maximizer_spectrum(g), q_radius(g)
+        assert (s.q, s.residual, s.support_component) == (
+            want.q, want.residual, want.support_component)
+        assert np.array_equal(s.x, want.x)
+
+    def test_levels_keep_the_band_of_each_cell(self, empty_search):
+        want = []
+        for k in range(1, 9):
+            radii, cell_max = search._level(k)
+            want += [g for (g, b), q in zip(connected_catalog(k), radii)
+                     if q >= cell_max[b] - ARGMAX_BAND]
+        assert list(search._kept) == want
+        for g in want:
+            q, x, residual = search._kept[g]
+            s = q_radius(g)
+            assert (q, residual) == (s.q, s.residual) and np.array_equal(x, s.x)
+
+    def test_unions_of_catalog_pieces(self):
+        # kept pieces are read, any other piece sends the union to q_radius
+        rng = random.Random(5)
+        pieces = [g for k in range(1, 7) for g, _ in connected_catalog(k)]
+        for k in range(1, 7):
+            search._level(k)
+        kept = [g for g in search._kept if g.m <= 6]
+        for _ in range(80):
+            chosen = rng.choices(kept, k=rng.randint(1, 3))
+            chosen += rng.choices(pieces, k=rng.randint(0, 1))
+            self.assert_is_q_radius(union_all(sorted(chosen, key=part_sort_key)))
+
+    def test_graph_off_the_levels(self, empty_search):
+        # nothing solved yet: the graph is solved by q_radius
+        self.assert_is_q_radius(union_all([build_s(2, 1, 1)] * 2))
 
 
 class TestHillClimb:

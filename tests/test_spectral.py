@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from qspex import spectral
 from qspex.family import build_h, build_s
-from qspex.graphs import Graph, components, disjoint_union, union_all
+from qspex.graphs import Graph, components, union_all
 from qspex.spectral import (
     RESIDUAL_TOL,
     SpectralData,
     eigen_equation_check,
+    extremal_component,
     q_matrix,
+    q_pairs,
     q_radii,
     q_radius,
     rayleigh_sum,
@@ -130,7 +132,7 @@ class TestBatchedRadii:
     def test_longer_than_one_chunk(self):
         rng = random.Random(11)
         gs = [random_graph(rng, max_n=12) for _ in range(300)]
-        gs += [Graph.from_edges(8), disjoint_union(star(3), cycle(4))] * 140
+        gs += [Graph.from_edges(8), union_all([star(3), cycle(4)])] * 140
         assert max(sum(g.n == n for g in gs) for n in range(13)) > 128
         radii = q_radii(gs)
         assert all(isinstance(q, float) for q in radii)
@@ -140,6 +142,21 @@ class TestBatchedRadii:
     def test_edgeless_and_empty(self):
         assert q_radii([]) == []
         assert q_radii([Graph.from_edges(0), Graph.from_edges(5)]) == [0.0, 0.0]
+        assert list(q_pairs([Graph.from_edges(5)])) == []
+
+    @given(st.lists(graphs(max_n=9), max_size=24))
+    def test_pairs_of_connected_graphs_are_q_radius_bit_for_bit(self, gs):
+        # the level batches hand these pairs to the verdicts in place of q_radius
+        gs = [g for g in gs if g.m and len(components(g)) == 1]
+        with mock.patch.object(spectral, "_CHUNK", 3):
+            batches = list(q_pairs(gs))
+        assert sorted(i for chunk, *_ in batches for i in chunk) == list(range(len(gs)))
+        for chunk, q, x, residual in batches:
+            assert len(chunk) <= 3
+            for j, i in enumerate(chunk):
+                s = q_radius(gs[i])
+                assert (float(q[j]), float(residual[j])) == (s.q, s.residual)
+                assert np.array_equal(x[j], s.x)
 
 
 class TestResidualTolerance:
@@ -199,7 +216,7 @@ class TestDisconnected:
         assert not s.x.any()
 
     def test_support_on_dominant_component(self):
-        g = disjoint_union(Graph.from_edges(2, [(0, 1)]), star(3))
+        g = union_all([Graph.from_edges(2, [(0, 1)]), star(3)])
         s = q_radius(g)
         assert s.q == pytest.approx(4.0, abs=1e-9)
         assert s.support_component == 1
@@ -209,7 +226,7 @@ class TestDisconnected:
     def test_exact_tie_prefers_first_component(self):
         # q(K3) = q(K_{1,3}) = 4: the tie goes to the lower component index
         k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        g = disjoint_union(k3, star(3))
+        g = union_all([k3, star(3)])
         s = q_radius(g)
         assert s.q == pytest.approx(4.0, abs=1e-9)
         assert s.support_component == 0
@@ -222,6 +239,42 @@ class TestDisconnected:
         assert s.q == pytest.approx(2.0, abs=1e-9)
         # components: {0}, {1}, {2}, {3,4} -- the edge lives in component 3
         assert s.support_component == 3
+
+
+class TestExtremalComponent:
+    """The component rule, fed made-up pairs by part."""
+
+    K2 = Graph.from_edges(2, [(0, 1)])
+    P3 = path(3)
+    K3 = complete(3)
+
+    def pick(self, parts, radii):
+        g = union_all(parts)
+        asked = []
+
+        def pair(part):
+            asked.append(part)
+            return radii[part], np.full(part.n, part.n ** -0.5), 0.0
+
+        return extremal_component(g, pair), asked
+
+    def test_later_component_must_win_by_more_than_1e_12(self):
+        s, _ = self.pick([self.K2, self.P3], {self.K2: 3.0, self.P3: 3.0 + 5e-13})
+        assert s.support_component == 0 and s.q == 3.0
+        s, _ = self.pick([self.K2, self.P3], {self.K2: 3.0, self.P3: 3.0 + 2e-12})
+        assert s.support_component == 1 and s.q == 3.0 + 2e-12
+        assert not s.x[:2].any() and s.x[2:].all()
+
+    def test_copies_and_edgeless_parts_are_not_asked_for(self):
+        parts = [Graph.from_edges(1), self.K2, self.K3, self.K2, self.K3]
+        s, asked = self.pick(parts, {self.K2: 2.0, self.K3: 4.0})
+        assert asked == [self.K2, self.K3]
+        assert s.support_component == 2 and s.x[3:6].all()
+        assert not s.x[:3].any() and not s.x[6:].any()
+
+    def test_edgeless_graph(self):
+        s, asked = self.pick([Graph.from_edges(3)], {})
+        assert asked == [] and s.support_component == -1 and s.x.shape == (3,)
 
 
 class TestRepeatedComponents:

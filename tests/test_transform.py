@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspex.family import build_h, build_s
-from qspex.graphs import Graph, canonical_form, disjoint_union
+from qspex.graphs import Graph, canonical_form, union_all
 from qspex.matching import matching_number
 from qspex.spectral import q_radius
 from qspex.transform import (
@@ -125,9 +125,7 @@ class TestKelmansSwap:
         assert r.delta == pytest.approx(0.2588, abs=5e-4)
         assert r.predicted_gain is not None
         assert r.delta >= r.predicted_gain - 1e-8
-        target = disjoint_union(
-            build_s(1, 0, 1), Graph.from_edges(2, [(0, 1)])
-        )
+        target = union_all([build_s(1, 0, 1), Graph.from_edges(2, [(0, 1)])])
         assert canonical_form(r.graph) == canonical_form(target)
 
     def test_uniform_vector_zero_prediction(self):

@@ -10,7 +10,7 @@ from qspex.family import build_h, build_s, predicted_extremal
 from qspex.graphs import Graph, canonical_graph, from_graph6, induced_subgraph, to_graph6
 from qspex.matching import Matching, OrderedMatching, extremal_matching, proper_ordering
 from qspex.spectral import SpectralData, q_radius
-from qspex import verify
+from qspex import spectral, verify
 from qspex.verify import (
     VerificationReport,
     check_lemma2,
@@ -153,20 +153,45 @@ class TestVerifyTheorem1:
         assert r.verdict == "infeasible" and r.classes == 0 and r.predicted == ()
 
     def test_each_maximizer_is_solved_once(self, monkeypatch):
-        # the lemma checks and the predicted radius reuse the maximizers' solves
-        solved = []
+        # once its catalog levels are solved, a verdict solves nothing again:
+        # the lemma checks and the predicted radius read the levels' pairs
+        queries = [(m, beta) for m in range(1, 11) for beta in range(1, m + 1)]
+        for m, beta in queries:
+            verify_theorem1(m, beta)
+        eigensolves = []
 
-        def counted(g, *args, **kwargs):
-            solved.append(to_graph6(g))
-            return q_radius(g, *args, **kwargs)
+        def counted_top_pairs(qs, tol):
+            eigensolves.append(len(qs))
+            return top_pairs(qs, tol)
 
-        monkeypatch.setattr(verify, "q_radius", counted)
-        for m in range(1, 9):
+        top_pairs = spectral._top_pairs
+        monkeypatch.setattr(spectral, "_top_pairs", counted_top_pairs)
+        for m, beta in queries:
+            assert verify_theorem1(m, beta).verdict == "pass"
+        assert eigensolves == []
+
+    def test_maximizer_spectra_equal_q_radius(self, monkeypatch):
+        # exactness oracle: each maximizer's verdict spectrum is q_radius's,
+        # bit for bit, through the m*K2 ties and the two maximizers of (3, 1)
+        seen = []
+
+        def recorded(g, s, beta):
+            seen.append((g, s))
+            return lemma_status(g, s, beta)
+
+        lemma_status = verify._lemma_status
+        monkeypatch.setattr(verify, "_lemma_status", recorded)
+        for m in range(1, 11):
             for beta in range(1, m + 1):
-                start = len(solved)
+                start = len(seen)
                 r = verify_theorem1(m, beta)
-                assert r.verdict == "pass"
-                assert solved[start:] == list(r.argmax)
+                assert [to_graph6(g) for g, _ in seen[start:]] == list(r.argmax)
+        assert len(seen) == 56
+        for g, s in seen:
+            want = q_radius(g)
+            assert (s.q, s.residual, s.support_component) == (
+                want.q, want.residual, want.support_component)
+            assert np.array_equal(s.x, want.x)
 
     def test_prediction_outside_the_argmax_is_solved_apart(self, monkeypatch):
         k13 = canonical_graph(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
