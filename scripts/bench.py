@@ -9,8 +9,10 @@ starts empty:
   1 <= beta <= m <= --m-max, timed as a whole.  With every level built, the
   same process then times, per call: each beta >= 2 verdict again,
   q_radius on every catalog graph, canonical_graph on every catalog graph
-  under a seeded relabeling, and the hill climber per step from seeded
-  random starts;
+  under a seeded relabeling, and the hill climber from seeded random starts,
+  per step and per climb (its 90th percentile); an untimed second pass of
+  the climbs counts the matrices certified and the admission checks made
+  per step;
 - the catalog: connected_catalog(k) for k = 1 .. --m-max, one level per call.
 
 The file records the median over repetitions of the sweep time, of each
@@ -52,8 +54,8 @@ def parse_args(argv=None):
                         help="largest edge count of the sweep and the catalog (default: 10)")
     parser.add_argument("--repeats", type=int, default=9,
                         help="fresh-process repetitions of each task (default: 9)")
-    parser.add_argument("--climbs", type=int, default=30,
-                        help="climber starts per repetition (default: 30)")
+    parser.add_argument("--climbs", type=int, default=100,
+                        help="climber starts per repetition (default: 100)")
     parser.add_argument("--out-dir", type=Path, default=REPO / "bench",
                         help="directory of the BENCH file (default: bench/)")
     args = parser.parse_args(argv)
@@ -99,25 +101,60 @@ def sweep_task(m_max: int, climbs: int) -> dict:
     relabeled = [induced_subgraph(g, rng.sample(range(g.n), g.n)) for g in catalog]
     labelings = _per_call(canonical_graph, relabeled)
 
-    steps = []
+    starts = []
     for i in range(climbs):
         m, n = CLIMB_STRATA[i % len(CLIMB_STRATA)]
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         start = Graph.from_edges(n, rng.sample(pairs, m))
-        query = EnumerationQuery(m, matching_number(start), "exact")
+        starts.append((start, EnumerationQuery(m, matching_number(start), "exact")))
+    steps, climb_times = [], []
+    for start, query in starts:
         t0 = time.perf_counter()
         trace = hill_climb(start, query)
+        climb_times.append(time.perf_counter() - t0)
         if trace.steps:
-            steps.append((time.perf_counter() - t0) / len(trace.steps))
+            steps.append(climb_times[-1] / len(trace.steps))
+    climb_p90 = statistics.quantiles(climb_times, n=10)[-1] if len(climb_times) > 1 else None
     return {
         "sweep_s": sweep_s,
         "verdict_s": _median(verdicts),
         "q_radius_graph_s": _median(radii),
         "canonical_graph_call_s": _median(labelings),
         "climb_step_s": _median(steps),
+        "climb_p90_s": climb_p90,
+        **climb_counts(starts),
         "samples": {"verdicts": len(verdicts), "q_radius_graphs": len(radii),
                     "canonical_graph_calls": len(labelings), "climbs_with_steps": len(steps)},
     }
+
+
+def climb_counts(starts) -> dict[str, float | None]:
+    """Matrices certified by the eigensolver and matching-number admission
+    checks of the climber, each per applied step over all the climbs: a
+    second, untimed pass that counts spectral._top_pairs rows and
+    MatchedGraph.rewired_matching_number calls."""
+    from qspex import spectral
+    from qspex.matching import MatchedGraph
+    from qspex.search import hill_climb
+
+    counts = {"certified": 0, "admissions": 0}
+    top_pairs, rewired = spectral._top_pairs, MatchedGraph.rewired_matching_number
+
+    def counted_top_pairs(qs, residual_tol):
+        counts["certified"] += len(qs)
+        return top_pairs(qs, residual_tol)
+
+    def counted_rewired(self, removed, added):
+        counts["admissions"] += 1
+        return rewired(self, removed, added)
+
+    spectral._top_pairs, MatchedGraph.rewired_matching_number = counted_top_pairs, counted_rewired
+    try:
+        steps = sum(len(hill_climb(start, query).steps) for start, query in starts)
+    finally:
+        spectral._top_pairs, MatchedGraph.rewired_matching_number = top_pairs, rewired
+    return {f"climb_{name}_per_step": count / steps if steps else None
+            for name, count in counts.items()}
 
 
 def catalog_task(m_max: int) -> dict[str, float]:
@@ -187,6 +224,10 @@ def run(args) -> dict:
             "q_radius_graph_s": median_of("q_radius_graph_s"),
             "verdict_s": median_of("verdict_s"),
             "climb_step_s": median_of("climb_step_s"),
+            "climb_p90_s": median_of("climb_p90_s"),
+            # counts repeat exactly across repetitions
+            "climb_certified_per_step": sweeps[0]["climb_certified_per_step"],
+            "climb_admissions_per_step": sweeps[0]["climb_admissions_per_step"],
         },
         "samples": sweeps[0]["samples"],
     }

@@ -36,14 +36,20 @@ The hill climber applies the rotations and Kelmans swaps that
 transform.candidate_moves justifies and that keep the class.  One move
 changes at most two edges, so it decides each move's matching number from
 the current graph's maximum matching (matching.MatchedGraph) instead of a
-blossom run on the rewired graph.
+blossom run on the rewired graph.  A move adds rank-one terms to Q, so the
+current eigenpair and second eigenvalue bound every move's radius from
+both sides (move_bounds); a step certifies the two moves with the best
+lower bounds that keep the class, then only the moves whose upper bound
+reaches the band of the best so far.  On seeded starts with m = 8..14 that
+is about two fifths of the matrices and under half the admission checks of
+certifying every move, with the same steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, islice
 from operator import itemgetter
 from math import comb
 from typing import Iterator
@@ -56,6 +62,7 @@ from .graphs import (
     _bits,
     _refine,
     canonical_graph,
+    components,
     is_isomorphic,
     part_sort_key,
     strip_isolated,
@@ -63,11 +70,23 @@ from .graphs import (
     union_all,
 )
 from .matching import MatchedGraph
-from .spectral import Q_MARGIN, SpectralData, extremal_component, q_pairs, q_radii, q_radius
-from .transform import ROTATION_MARGIN, candidate_moves, move_detail
+from .spectral import (
+    Q_MARGIN,
+    SpectralData,
+    extremal_component,
+    q_matrix,
+    q_pairs,
+    q_radii,
+    q_radius,
+)
+from .transform import ROTATION_MARGIN, Move, MoveTable, candidate_table, move_detail
 
 DEFAULT_GUARD = 10  # enumeration refuses edge counts beyond this unless raised
 ARGMAX_BAND = 1e-8  # graphs within this of the max radius are co-extremal
+# The climber skips a move whose upper bound falls short of the band by more
+# than this: twice RESIDUAL_TOL, the bound's error from a certified pair,
+# plus rounding, with room to spare.
+PRUNE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -420,24 +439,77 @@ class ClimbTrace:
     converged_to_prediction: bool
 
 
+def move_bounds(
+    g: Graph, q: float, x: np.ndarray
+) -> tuple[MoveTable, np.ndarray, np.ndarray]:
+    """candidate_table(g, x) with a lower and an upper bound on the radius
+    of g after each move, for the certified pair (q, x) of g.
+
+    With d = q - lam2, lam2 the second eigenvalue of the whole Q(g) counted
+    with multiplicity, and w = e_a + e_b for an edge ab, a move changes Q(g)
+    by the sum of w w^T over its added edges minus that over its removed ones.
+    x^T Q x after the move bounds the radius from below (Courant-Fischer):
+    q plus the squared endpoint sums of the added edges minus those of the
+    removed ones.  Q(g) <= lam2 I + d x x^T (Loewner order), so the radius is
+    at most lam2 plus the top eigenvalue of d x x^T + sum_added w w^T -
+    sum_removed w w^T (Bunch, Nielsen and Sorensen, "Rank-one modification of
+    the symmetric eigenproblem", 1978).  For a rotation that is the largest
+    root of a cubic in the endpoint sums s_e, s_f and the number o of shared
+    ends; a swap's bound drops the removed edges, which leaves a 2x2 problem.
+    x is certified to RESIDUAL_TOL, which moves the upper bound by about
+    twice that; PRUNE_SLACK covers it.
+    """
+    table = candidate_table(g, x)
+    if not len(table):
+        return table, np.empty(0), np.empty(0)
+    lam2 = float(np.linalg.eigvalsh(q_matrix(g))[-2])
+    d = max(q - lam2, 0.0)
+    added = (table.added**2).sum(axis=1)
+    lower = q + added - (table.removed**2).sum(axis=1)
+    # without the removed edges: the top eigenvalue of d x x^T + sum_added
+    # w w^T, the added edges disjoint, so d x x^T plus twice a projection
+    bound = (d + 2) / 2 + np.sqrt((d - 2) ** 2 / 4 + d * added)
+    # a rotation's cubic mu^3 - d mu^2 + c1 mu + c0 by the trigonometric form
+    # of its largest root; o is 0 or 1, so o^2 = o, and p = c1 - d^2/3 <= -3
+    # since s_f >= s_e up to the tie band
+    r = table.rotations
+    s_e, s_f, o = table.removed[:r, 0], table.added[:r, 0], table.shared[:r]
+    c1 = d * (s_e * s_e - s_f * s_f) + (o - 4)
+    c0 = d * (4 - o - 2 * (s_e * s_e + added[:r] - o * s_e * s_f))
+    minus_p3 = (d * d / 3 - c1) / 3
+    radius = np.sqrt(minus_p3)
+    cos3 = (2 * d**3 / 27 - d * c1 / 3 - c0) / (2 * minus_p3 * radius)
+    root = d / 3 + 2 * radius * np.cos(np.arccos(np.clip(cos3, -1.0, 1.0)) / 3)
+    # near cos3 = -1 the two top roots meet and the form loses half its
+    # digits; the bound without the removed edge is exact to rounding there
+    bound[:r] = np.where(cos3 > -1 + 1e-6, root, bound[:r])
+    return table, lower, lam2 + bound
+
+
 def hill_climb(
     start: Graph, query: EnumerationQuery, max_steps: int = 64
 ) -> ClimbTrace:
     """Steepest-ascent climb inside the query class over the moves of
     transform.candidate_moves: justified rotations and swap orientations.
 
-    Each step keeps the moves that stay in the class, builds each kept graph
-    once, and solves their radii in one batch.  Whether a move stays in the
+    Among the moves that stay in the class and raise q by more than the
+    solver margin, each step applies the least (move, detail) of those whose
+    q_after lies within Q_MARGIN of the largest, so exact ties between
+    symmetric moves are not decided by solver rounding.  Only the moves that
+    can reach that band are certified: by the bounds of move_bounds, the
+    step takes moves in decreasing lower bound until two stay in the class,
+    certifies them in one q_pairs batch, and then certifies in a second
+    batch the moves whose upper bound reaches within Q_MARGIN + PRUNE_SLACK
+    of the best of the two.  Every move left out is below the band, so the
+    steps are those of evaluating every move.  Whether a move stays in the
     class is decided by MatchedGraph from one maximum matching and the
     Gallai-Edmonds barrier of the current graph, which settles most moves
-    with no blossom search.  Among the moves that raise q by more than the
-    solver margin and whose q_after lies within Q_MARGIN of the largest, it
-    applies the least (move, detail), so exact ties between symmetric moves
-    are not decided by solver rounding; only the moves in that band get a
-    detail string.  The step records the graph and
-    radius from that batch; nothing is solved again.  Stops at a local
-    maximum or after max_steps (nonnegative); the trace records whether the
-    endpoint is isomorphic to one of the predicted maximizers for the class.
+    with no blossom search.  The step records the graph and radius from the
+    batch; a connected graph without isolated vertices keeps that batch's
+    pair for the next step, and another graph is solved by q_radius.  Stops
+    at a local maximum or after max_steps (nonnegative); the trace records
+    whether the endpoint is isomorphic to one of the predicted maximizers
+    for the class.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
@@ -450,32 +522,49 @@ def hill_climb(
         raise ValueError("start graph is outside the query class")
 
     current = start
+    pair = None  # the certified (q, x) of current, when a batch holds it
     steps: list[ClimbStep] = []
     for _ in range(max_steps):
-        spectrum = q_radius(current)
-        moves = [
-            (move, removed, added, current.rewire(removed, added))
-            for move, removed, added in candidate_moves(current, spectrum.x)
-            if query.admits(matched.rewired_matching_number(removed, added))
-        ]
-        gains = [
-            (q_after, move)
-            for q_after, move in zip(q_radii([h for *_, h in moves]), moves)
-            if q_after > spectrum.q + ROTATION_MARGIN
-        ]
+        if pair is None:
+            spectrum = q_radius(current)
+            pair = spectrum.q, spectrum.x
+        q, x = pair
+        table, lower, upper = move_bounds(current, q, x)
+
+        unchecked = np.ones(len(table), dtype=bool)
+
+        def admitted(rows: list[int]) -> Iterator[Move]:
+            for i in rows:
+                unchecked[i] = False
+                move = table.move(i)
+                if query.admits(matched.rewired_matching_number(*move[1:])):
+                    yield move
+
+        by_lower = np.argsort(-lower, kind="stable").tolist()
+        solved = _certify(current, list(islice(admitted(by_lower), 2)))
+        if solved:
+            # A move in the band is a gain within Q_MARGIN of the best gain, so
+            # its q_after is at least the best of the two minus Q_MARGIN when
+            # that one gains, and above it when it does not.
+            reach = max(q_after for q_after, *_ in solved) - Q_MARGIN - PRUNE_SLACK
+            rest = np.flatnonzero(unchecked & (upper >= reach)).tolist()
+            solved += _certify(current, list(admitted(rest)))
+        gains = [entry for entry in solved if entry[0] > q + ROTATION_MARGIN]
         if not gains:
             break
-        top = max(q_after for q_after, _ in gains)
-        move, detail, q_after, current = min(
+        top = max(q_after for q_after, *_ in gains)
+        move, detail, q_after, current, x_after = min(
             (
-                (move, move_detail(removed, added), q_after, h)
-                for q_after, (move, removed, added, h) in gains
+                (kind, move_detail(removed, added), q_after, h, x_h)
+                for q_after, (kind, removed, added), h, x_h in gains
                 if q_after >= top - Q_MARGIN
             ),
             key=lambda tied: tied[:2],
         )
-        steps.append(ClimbStep(move, detail, spectrum.q, q_after, to_graph6(current)))
+        steps.append(ClimbStep(move, detail, q, q_after, to_graph6(current)))
         matched = MatchedGraph(current)
+        # q_radius solves a connected graph as one part: the batch's pair, bit for bit
+        pair = (q_after, x_after) if len(components(current)) == 1 else None
 
     trimmed = strip_isolated(current)
     converged = any(
@@ -484,3 +573,16 @@ def hill_climb(
     return ClimbTrace(
         start=start, end=current, steps=tuple(steps), converged_to_prediction=converged
     )
+
+
+def _certify(
+    g: Graph, moves: list[Move]
+) -> list[tuple[float, Move, Graph, np.ndarray]]:
+    """(q_after, move, graph, eigenvector) of the moves of g, from one
+    q_pairs batch."""
+    graphs = [g.rewire(removed, added) for _, removed, added in moves]
+    return [
+        (value, moves[k], graphs[k], x[j])
+        for chunk, q, x, _ in q_pairs(graphs)
+        for j, (k, value) in enumerate(zip(chunk, q.tolist()))
+    ]

@@ -14,9 +14,9 @@ elsewhere; `extremal_component` holds that rule and is fed pairs two ways:
 equal masks, has the same radius), and the verdicts read the pairs their
 catalog levels kept (search.maximizer_spectrum).  `q_pairs` is the one
 batched solve: it stacks many whole graphs per eigh call without a component
-split.  The catalog levels get their pairs from it, and `q_radii`, the
-climber's radii, reads its eigenvalues; on the climber's disconnected graphs
-that the eigenvalue is the top one rests on eigh's ascending order.
+split.  The catalog levels and the hill climber get their pairs from it, and
+`q_radii` reads its eigenvalues; on the climber's disconnected graphs that
+the eigenvalue is the top one rests on eigh's ascending order.
 """
 
 from __future__ import annotations
@@ -186,9 +186,8 @@ def q_pairs(
 def q_radii(graphs: Sequence[Graph]) -> list[float]:
     """q(G) for each graph, the radii of q_pairs; a graph without edges gets
     0.0.  The top eigenvalue of the whole Q(G) is already the max over
-    components.  Verdict radii come from the catalog levels, connected graphs
-    on which the check certifies the top eigenvalue; the climber passes
-    disconnected graphs too.  Agrees with q_radius(g).q to rounding.
+    components, which on a disconnected graph rests on eigh's ascending
+    order.  Agrees with q_radius(g).q to rounding.
     """
     radii = [0.0] * len(graphs)
     for chunk, q, _, _ in q_pairs(graphs):

@@ -9,14 +9,17 @@ gain, recorded rather than asserted; `pendant_collapse` deletes a set of
 edges and reattaches the same count as fresh pendants at a chosen vertex,
 preserving the edge count.
 
-`candidate_moves` yields every rotation and swap orientation of a graph that
-these preconditions justify, as (move, removed, added); the hill climber
-draws its moves from it.  The generator, `rotate` and `kelmans_swap` share
-one test per precondition and one detail format, `move_detail`.
+`candidate_table` finds every rotation and swap orientation of a graph that
+these preconditions justify, as (move, removed, added), with the eigenvector
+sums over the ends of the edges each move removes and adds, from which the
+hill climber bounds each move's radius; `candidate_moves` yields its moves.
+The table, `rotate` and `kelmans_swap` share one test per precondition and
+one detail format, `move_detail`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -97,7 +100,7 @@ def _swap_bound(
     positive, where the bound is proven."""
     factor_u = x[ej[1]] - x[ei[0]]
     factor_v = x[ei[1]] - x[ej[0]]
-    return 2.0 * factor_u * factor_v, factor_u > 0.0 and factor_v > 0.0
+    return 2.0 * factor_u * factor_v, (factor_u > 0.0) & (factor_v > 0.0)
 
 
 def move_detail(
@@ -107,9 +110,108 @@ def move_detail(
     return " ".join([f"-{e}" for e in removed] + [f"+{f}" for f in added])
 
 
-def candidate_moves(
-    g: Graph, x: Sequence[float]
-) -> Iterator[tuple[str, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]:
+Move = tuple[str, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
+@dataclass(frozen=True)
+class MoveTable:
+    """The moves of candidate_moves in its order, one row each: the indices
+    of the edges a move removes in `edges` and of the non-edges it adds in
+    `non_edges` (a rotation's second column is -1), the sums x_a + x_b of the
+    eigenvector over the ends of those edges (a rotation's second column is
+    0), and the number of ends a rotation's two edges share (0 for a swap).
+    The first `rotations` rows are the rotations; move(i) builds row i as
+    (move, removed, added)."""
+
+    edges: list[tuple[int, int]]
+    non_edges: list[tuple[int, int]]
+    removed_at: np.ndarray
+    added_at: np.ndarray
+    removed: np.ndarray
+    added: np.ndarray
+    shared: np.ndarray
+    rotations: int
+
+    def __len__(self) -> int:
+        return len(self.removed_at)
+
+    def move(self, i: int) -> Move:
+        (e1, e2), (f1, f2) = self.removed_at[i].tolist(), self.added_at[i].tolist()
+        if i < self.rotations:
+            return "rotate", (self.edges[e1],), (self.non_edges[f1],)
+        return (
+            "kelmans_swap",
+            (self.edges[e1], self.edges[e2]),
+            (self.non_edges[f1], self.non_edges[f2]),
+        )
+
+
+def candidate_table(g: Graph, x: Sequence[float]) -> MoveTable:
+    """The rotations and swap orientations of g that their preconditions
+    justify under the principal eigenvector x, with their endpoint sums.
+
+    The rotations are read in row-major order off one table of the sums of
+    x over the ends of every edge (rows) and every non-edge (columns); the
+    swaps off one table of the pairs of edges e1 < e2 (rows) and their four
+    orientations (columns).
+    """
+    x = np.asarray(x, dtype=float)
+    n = g.n
+    masks = np.array([g.neighbors_mask(v) | 1 << v for v in range(n)], dtype=np.int64)
+    closed = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)  # adjacent or equal
+    pairs = _pairs(n)
+    is_edge = closed[pairs[:, 0], pairs[:, 1]]
+    edge_at, free_at = np.flatnonzero(is_edge), np.flatnonzero(~is_edge)
+    ends, free = pairs[edge_at], pairs[free_at]
+    removed_sum = x[ends[:, 0]] + x[ends[:, 1]]
+    added_sum = x[free[:, 0]] + x[free[:, 1]]
+    rows, cols = np.nonzero(
+        _removable(removed_sum)[:, None] & _outweighs(added_sum[None, :], removed_sum[:, None])
+    )
+
+    # orientations (e1, e2), both reversed, e1 reversed, e2 reversed.  closed
+    # also holds on equal ends, and an end u_i = v_j would make u_i u_j the
+    # edge e2, so "neither u_i u_j nor v_i v_j in closed" says that e1, e2 are
+    # independent and both added pairs are non-edges.
+    first, second = np.nonzero(np.tri(len(ends), k=-1, dtype=bool).T)
+    e1, e2 = ends[first], ends[second]
+    ui, vi = e1[:, [0, 1, 1, 0]], e1[:, [1, 0, 0, 1]]
+    uj, vj = e2[:, [0, 1, 0, 1]], e2[:, [1, 0, 1, 0]]
+    pair, side = np.nonzero(
+        ~(closed[ui, uj] | closed[vi, vj]) & _swap_bound(x, (ui, vi), (uj, vj))[1]
+    )
+    ui, vi, uj, vj = ui[pair, side], vi[pair, side], uj[pair, side], vj[pair, side]
+    first, second = first[pair], second[pair]
+    free_index = np.zeros((n, n), dtype=np.intp)  # of each non-edge, at both its ends
+    free_index[free[:, 0], free[:, 1]] = free_index[free[:, 1], free[:, 0]] = np.arange(len(free))
+
+    r, k = len(rows), len(rows) + len(pair)
+    removed_at = np.full((k, 2), -1)
+    added_at = np.full((k, 2), -1)
+    removed = np.zeros((k, 2))
+    added = np.zeros((k, 2))
+    shared = np.zeros(k)
+    removed_at[:r, 0], added_at[:r, 0] = rows, cols
+    removed[:r, 0], added[:r, 0] = removed_sum[rows], added_sum[cols]
+    shared[:r] = (ends[rows][:, [0, 0, 1, 1]] == free[cols][:, [0, 1, 0, 1]]).sum(axis=1)
+    removed_at[r:, 0], removed_at[r:, 1] = first, second
+    added_at[r:, 0], added_at[r:, 1] = free_index[ui, uj], free_index[vi, vj]
+    removed[r:, 0], removed[r:, 1] = removed_sum[first], removed_sum[second]
+    added[r:, 0], added[r:, 1] = x[ui] + x[uj], x[vi] + x[vj]
+    return MoveTable(
+        list(map(tuple, ends.tolist())), list(map(tuple, free.tolist())),
+        removed_at, added_at, removed, added, shared, r,
+    )
+
+
+@functools.cache
+def _pairs(n: int) -> np.ndarray:
+    """The pairs i < j of range(n) in lexicographic order, one row each."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def candidate_moves(g: Graph, x: Sequence[float]) -> Iterator[Move]:
     """The rotations and swap orientations of g that their preconditions
     justify under the principal eigenvector x, as (move, removed, added);
     a swap's first added edge is u_i u_j, which fixes its orientation.
@@ -118,30 +220,10 @@ def candidate_moves(
     follow by pair of independent edges e1 < e2, trying the orientations
     (e1, e2), both reversed, e1 reversed, e2 reversed; reversing both edges
     negates both gain factors, so at most one orientation per pairing passes.
+    The moves are the rows of candidate_table, which the climber reads.
     """
-    x = np.asarray(x, dtype=float).tolist()
-    adj = [g.neighbors_mask(v) for v in range(g.n)]
-    edges = g.edges()
-    non_edges = [
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not adj[u] >> v & 1
-    ]
-    for e in edges:
-        removed_sum = x[e[0]] + x[e[1]]
-        if _removable(removed_sum):
-            for f in non_edges:
-                if _outweighs(x[f[0]] + x[f[1]], removed_sum):
-                    yield "rotate", (e,), (f,)
-    for a, e1 in enumerate(edges):
-        for e2 in edges[a + 1 :]:
-            if set(e1) & set(e2):
-                continue
-            r1, r2 = e1[::-1], e2[::-1]
-            for (ui, vi), (uj, vj) in ((e1, e2), (r1, r2), (r1, e2), (e1, r2)):
-                if adj[ui] >> uj & 1 or adj[vi] >> vj & 1:
-                    continue
-                if _swap_bound(x, (ui, vi), (uj, vj))[1]:
-                    added = (_norm_edge((ui, uj)), _norm_edge((vi, vj)))
-                    yield "kelmans_swap", (e1, e2), added
+    table = candidate_table(g, x)
+    return (table.move(i) for i in range(len(table)))
 
 
 def rotate(g: Graph, x: np.ndarray, e: tuple[int, int], f: tuple[int, int]) -> RewireResult:

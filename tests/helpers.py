@@ -217,6 +217,78 @@ def climber_moves(g: Graph) -> tuple[list, list]:
     return rotations, swaps
 
 
+
+# (m, n) strata of seeded climber starts: m edges drawn among the pairs of n
+# vertices, the strata of qbench's climb workload
+CLIMB_STRATA = ((8, 8), (9, 8), (10, 8), (11, 8), (12, 9), (13, 9), (14, 10))
+
+
+def climb_starts(seed: int, per_stratum: int) -> list[Graph]:
+    """per_stratum seeded random starts for each stratum of CLIMB_STRATA,
+    stratum by stratum; isolated vertices and several components are common."""
+    rng = random.Random(seed)
+    starts = []
+    for m, n in CLIMB_STRATA:
+        pairs = list(combinations(range(n), 2))
+        starts += [Graph.from_edges(n, rng.sample(pairs, m)) for _ in range(per_stratum)]
+    return starts
+
+
+def oracle_hill_climb(start: Graph, query, max_steps: int = 64):
+    """The climber evaluating every move: each step admission-checks every
+    candidate move, solves the radius of every admitted one in one batch, and
+    applies the least (move, detail) among the gains within Q_MARGIN of the
+    largest; every step solves the current graph by q_radius."""
+    from qspex.family import predicted_maximizers
+    from qspex.graphs import is_isomorphic, strip_isolated
+    from qspex.matching import MatchedGraph
+    from qspex.search import ClimbStep, ClimbTrace
+    from qspex.spectral import Q_MARGIN, q_radii, q_radius
+    from qspex.transform import ROTATION_MARGIN, candidate_moves, move_detail
+
+    matched = MatchedGraph(start)
+    current = start
+    steps = []
+    for _ in range(max_steps):
+        spectrum = q_radius(current)
+        moves = [
+            (move, removed, added, current.rewire(removed, added))
+            for move, removed, added in candidate_moves(current, spectrum.x)
+            if query.admits(matched.rewired_matching_number(removed, added))
+        ]
+        gains = [
+            (q_after, move)
+            for q_after, move in zip(q_radii([h for *_, h in moves]), moves)
+            if q_after > spectrum.q + ROTATION_MARGIN
+        ]
+        if not gains:
+            break
+        top = max(q_after for q_after, _ in gains)
+        move, detail, q_after, current = min(
+            (
+                (move, move_detail(removed, added), q_after, h)
+                for q_after, (move, removed, added, h) in gains
+                if q_after >= top - Q_MARGIN
+            ),
+            key=lambda tied: tied[:2],
+        )
+        steps.append(ClimbStep(move, detail, spectrum.q, q_after, to_graph6(current)))
+        matched = MatchedGraph(current)
+    trimmed = strip_isolated(current)
+    converged = any(
+        is_isomorphic(trimmed, t) for t in predicted_maximizers(query.m, query.beta)
+    )
+    return ClimbTrace(start, current, tuple(steps), converged)
+
+
+def trace_text(trace) -> str:
+    """A climb as text: each step with repr floats, the end graph6 and
+    whether it converged to the prediction."""
+    lines = [f"{s.move} {s.detail} {s.q_before!r} {s.q_after!r} {s.graph6}" for s in trace.steps]
+    lines.append(f"end {to_graph6(trace.end)} {trace.converged_to_prediction}")
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def rewirings(draw) -> tuple[Graph, tuple, tuple]:
     """(g, removed, added): a graph with at most 10 vertices and a rotation, a

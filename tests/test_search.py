@@ -1,3 +1,4 @@
+import hashlib
 import random
 from unittest import mock
 
@@ -9,6 +10,7 @@ from qspex.family import build_s, predicted_extremal, predicted_maximizers
 from qspex.graphs import (
     Graph,
     canonical_form,
+    components,
     canonical_graph,
     is_isomorphic,
     part_sort_key,
@@ -30,15 +32,18 @@ from qspex.search import (
     max_radius_over,
     maximizer_spectrum,
 )
-from qspex.spectral import q_radius
+from qspex.spectral import q_radii, q_radius
 from qspex.verify import verify_theorem1
 
 from helpers import (
+    climb_starts,
     oracle_brute_force_max,
     oracle_class_forms,
     oracle_connected_catalog,
+    oracle_hill_climb,
     oracle_q_radius,
     random_graph,
+    trace_text,
 )
 
 # connected graphs by edge count, no isolated vertices (k = 1..10)
@@ -389,14 +394,16 @@ class TestHillClimb:
         # (move, detail) among the candidates within Q_MARGIN of the best, so
         # noise far below that band in every solved radius changes no step.
         assert [s.detail for s in hill_climb(start, query).steps] == details
-        exact = search.q_radii
+        exact = search.q_pairs
         for seed in range(4):
             rng = random.Random(seed)
 
             def noisy(gs):
-                return [q + rng.uniform(-1e-11, 1e-11) for q in exact(gs)]
+                for chunk, q, x, residual in exact(gs):
+                    noise = np.array([rng.uniform(-1e-11, 1e-11) for _ in chunk])
+                    yield chunk, q + noise, x, residual
 
-            with mock.patch.object(search, "q_radii", noisy):
+            with mock.patch.object(search, "q_pairs", noisy):
                 assert [s.detail for s in hill_climb(start, query).steps] == details
 
     @pytest.mark.parametrize("m, beta", [(m, b) for b in (2, 3) for m in range(b, 8)])
@@ -436,3 +443,65 @@ class TestHillClimb:
         for step in trace.steps:
             assert query.admits(matching_number(from_graph6(step.graph6)))
             assert step.q_after > step.q_before
+
+
+# sha256 of trace_text over the exact-class climbs from climb_starts(2, 54),
+# taken with a climber that certified every move
+PINNED_TRACES = "e3b9bf811daebee18cd11d775a86d85c2ee7943f29c0ced1d5331d9d50e5ea7e"
+
+
+class TestClimberBounds:
+    """The climber certifies only the moves whose upper bound reaches the
+    band; its steps must be those of certifying every move."""
+
+    @staticmethod
+    def two_copies() -> list[Graph]:
+        # equal components tie for the radius: the second eigenvalue is q, d = 0
+        parts = [
+            Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]),
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+            Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
+            Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        ]
+        return [union_all([p, p]) for p in parts]
+
+    @pytest.mark.parametrize("mode", ["exact", "at_least"])
+    def test_steps_match_certifying_every_move(self, mode):
+        starts = climb_starts(3, 50) + self.two_copies()
+        starts += [g.add_vertices(2) for g in self.two_copies()]
+        assert sum(strip_isolated(g).n < g.n for g in starts) >= 50
+        for g in starts:
+            query = EnumerationQuery(g.m, matching_number(g), mode)
+            trace, oracle = hill_climb(g, query), oracle_hill_climb(g, query)
+            assert trace.steps == oracle.steps, to_graph6(g)
+            assert trace.end == oracle.end
+            assert trace.converged_to_prediction == oracle.converged_to_prediction
+
+    def test_traces_are_pinned(self):
+        digest = hashlib.sha256()
+        for g in climb_starts(2, 54):
+            query = EnumerationQuery(g.m, matching_number(g), "exact")
+            digest.update(trace_text(hill_climb(g, query)).encode())
+        assert digest.hexdigest() == PINNED_TRACES
+
+    def test_radius_after_each_move_lies_between_its_bounds(self):
+        rng = random.Random(5)
+        graphs = [random_graph(rng, max_n=12) for _ in range(400)]
+        graphs = [g for g in graphs if g.n >= 4 and g.m][:200]
+        graphs += self.two_copies()
+        assert len(graphs) >= 200 and sum(len(components(g)) > 1 for g in graphs) >= 50
+        checked = 0
+        for g in graphs:
+            spectrum = q_radius(g)
+            table, lower, upper = search.move_bounds(g, spectrum.q, spectrum.x)
+            radii = q_radii([g.rewire(*table.move(i)[1:]) for i in range(len(table))])
+            assert (lower <= upper).all()
+            for q_after, lo, hi in zip(radii, lower, upper):
+                assert lo - 1e-9 <= q_after <= hi + 1e-9, to_graph6(g)
+            checked += len(radii)
+        assert checked > 5000
+
+    def test_slack_covers_the_certified_residual(self):
+        assert search.PRUNE_SLACK >= 2 * spectral.RESIDUAL_TOL
