@@ -13,10 +13,13 @@ starts empty:
   per step and per climb (its 90th percentile); an untimed second pass of
   the climbs counts the matrices certified and the admission checks made
   per step;
-- the catalog: connected_catalog(k) for k = 1 .. --m-max, one level per call.
+- the catalog: connected_catalog(k) for k = 1 .. --m-max, one level per
+  call, each followed by the level's solve (search._level), counting the
+  pieces it passes to the eigensolver.
 
 The file records the median over repetitions of the sweep time, of each
-level's growth time and of each per-call median, with the sample counts, the
+level's growth and solve times and of each per-call median, the pieces each
+level's solve passed to the eigensolver, with the sample counts, the
 machine (nproc, Python and numpy versions) and the source measured: the git
 sha of HEAD, whether src/ differs from it (then the name ends in -dirty), and
 a sha256 of the qspex sources.
@@ -157,16 +160,30 @@ def climb_counts(starts) -> dict[str, float | None]:
             for name, count in counts.items()}
 
 
-def catalog_task(m_max: int) -> dict[str, float]:
-    """Seconds to grow each catalog level from the one below, from empty."""
-    from qspex.search import connected_catalog
+def catalog_task(m_max: int) -> dict[str, dict[str, float]]:
+    """Seconds to grow each catalog level from the one below and then to
+    solve it, from empty, and the pieces each level's solve passed to
+    spectral.q_pairs."""
+    from qspex import search
 
-    levels = {}
+    q_pairs, solved = search.q_pairs, []
+
+    def counted_q_pairs(graphs):
+        solved.append(len(graphs))
+        return q_pairs(graphs)
+
+    search.q_pairs = counted_q_pairs
+    growth, solve, pieces = {}, {}, {}
     for k in range(1, m_max + 1):
         t0 = time.perf_counter()
-        connected_catalog(k)
-        levels[str(k)] = time.perf_counter() - t0
-    return levels
+        search.connected_catalog(k)
+        t1 = time.perf_counter()
+        search._level(k)
+        t2 = time.perf_counter()
+        growth[str(k)], solve[str(k)] = t1 - t0, t2 - t1
+        pieces[str(k)] = sum(solved)
+        solved.clear()
+    return {"growth": growth, "solve": solve, "pieces": pieces}
 
 
 def _fresh(fn, *args):
@@ -204,6 +221,9 @@ def run(args) -> dict:
         values = [s[key] for s in sweeps if s[key] is not None]
         return statistics.median(values) if values else None
 
+    def level_median(key: str) -> dict[str, float]:
+        return {k: statistics.median(g[key][k] for g in growth) for k in growth[0][key]}
+
     return {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -217,9 +237,10 @@ def run(args) -> dict:
         "sweep_s": median_of("sweep_s"),
         "sweep_runs_s": [s["sweep_s"] for s in sweeps],
         "layers": {
-            "catalog_level_s": {
-                k: statistics.median(g[k] for g in growth) for k in growth[0]
-            },
+            "catalog_level_s": level_median("growth"),
+            "level_solve_s": level_median("solve"),
+            # counts repeat exactly across repetitions
+            "level_solved_pieces": growth[0]["pieces"],
             "canonical_graph_call_s": median_of("canonical_graph_call_s"),
             "q_radius_graph_s": median_of("q_radius_graph_s"),
             "verdict_s": median_of("verdict_s"),

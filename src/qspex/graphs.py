@@ -10,7 +10,10 @@ order-preserving relabeling of `components`) is labeled once.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 GRAPH6_MAX_N = 62
 _G6_BITS = {63 + d: format(d, "06b") for d in range(64)}  # body byte -> its six bits
@@ -353,6 +356,63 @@ def _refine(adj: Sequence[int], colors: Sequence[int]) -> tuple[int, ...]:
                 color[v] = c
 
 
+def _refine_stack(adjacency: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """_refine(masks, degrees) of every graph of a stack, as arrays.
+
+    adjacency is a (B, N, N) 0/1 float array whose row r holds a graph on its
+    first n[r] vertices; the vertices past n[r] are padding without edges.
+    Each round ranks (color, counts of neighbor colors) within each row.  The
+    vertices of a cell share a degree, so their sorted neighbor colors order
+    as the counts do in descending lexicographic order.  One matrix product
+    per word packs the counts into float64 words (_count_words); the words
+    are ranked one at a time after the color, each with the rank so far as
+    one exact float key.  Padding starts above every degree, so it is the top
+    color of its row, no real vertex counts it, and it never splits: the
+    real vertices get the colors of _refine.  Entries past n[r] mean nothing.
+    """
+    width = adjacency.shape[1]
+    real = np.arange(width, dtype=float) < n[:, None]
+    colors = _row_ranks(np.where(real, adjacency.sum(axis=2), width))
+    top, powers = _count_words(width)
+    while True:
+        refined = colors
+        for power in powers:
+            counts = np.einsum("bij,bj->bi", adjacency, power[colors])
+            refined = _row_ranks(refined * top + (top - 1 - counts))
+        # a vertex's rank never falls below its old color, so equal sums mean
+        # that no cell split
+        if refined.sum() == colors.sum():
+            return colors
+        colors = refined
+
+
+@functools.cache
+def _count_words(width: int) -> tuple[float, np.ndarray]:
+    """How _refine_stack packs counts of neighbor colors below width + 1:
+    per word, `top` = (width + 1)**digits with digits as large as keeps
+    color * top + word exact in float64, and powers[j, c], the weight of a
+    neighbor of color c in word j, most significant color first."""
+    base = width + 1
+    digits = 1
+    while base ** (digits + 2) <= 1 << 53:
+        digits += 1
+    powers = [[float(base ** (digits - 1 - c % digits)) if c // digits == j else 0.0
+               for c in range(width)] for j in range(-(-width // digits))]
+    return float(base ** digits), np.array(powers)
+
+
+def _row_ranks(keys: np.ndarray) -> np.ndarray:
+    """The dense rank of each entry of a 2-d array within its row."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    order += np.arange(0, keys.size, keys.shape[1])[:, None]  # flat positions
+    ranked = keys.ravel()[order]
+    steps = np.zeros(keys.shape, dtype=np.int64)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=steps[:, 1:])
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[order] = steps
+    return ranks.reshape(keys.shape)
+
+
 def _individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
     cv = colors[v]
     return tuple(
@@ -491,6 +551,10 @@ def _connected_canonical_order(g: Graph, colors: tuple[int, ...] | None = None) 
     if colors is None:
         colors = _refine(adj, [a.bit_count() for a in adj])
     search(colors, ())
+    # search reaches itself through its closure; unbinding it lets the call's
+    # objects go by reference counting instead of waiting for the cycle
+    # collector
+    search = None
     assert best is not None
     return best[0]
 

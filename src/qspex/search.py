@@ -7,10 +7,15 @@ and matching number add over pieces and the radius is their max, so pieces
 are grouped into cells (k, b) by both: class sizes are the Euler transform of
 the cell sizes, a class maximum is the best cell maximum Qc(k, b) whose
 remainder class is non-empty, and only the argmax and one class are built.
-Each catalog level is solved in one spectral.q_pairs batch, which keeps the
-certified pair of every piece within ARGMAX_BAND of its cell maximum, so a
-maximizer's spectrum is read from its pieces (maximizer_spectrum) instead of
-solved again.
+Each catalog level is solved in one spectral.q_pairs batch of the pieces
+that can reach the band of their cell maximum: from degrees alone, a piece's
+radius lies between the Rayleigh quotient R of its degree vector and its
+edge bound U = max over edges of d_u + d_v, so a piece whose U falls short of
+the largest R of its cell by more than the band is not solved (_level).  Up
+to k = 10 that is 596 of the 3,390 pieces.  The batch keeps the certified
+pair of every piece within ARGMAX_BAND of its cell maximum, so a maximizer's
+spectrum is read from its pieces (maximizer_spectrum) instead of solved
+again.
 
 The catalog grows by edge/leaf augmentation: every connected graph h with
 k+1 edges arises from a connected graph with k edges by adding an edge
@@ -23,14 +28,17 @@ sorted endpoint colors of the refinement of h from its degrees).  That key
 is an isomorphism invariant, so each h still comes from the parent h - e*
 for a maximizing e*.  The parent is augmented only at the least vertex of
 each of its twin classes, and only by edges whose degrees can still reach
-the best deletable edge it already has.  The filter reads the parent's
-adjacency masks and degrees with e added, so a Graph is built only for the
-augmentations that pass, and their labeling starts from the colors the
-filter computed.  Up to k = 10, 11,428 of the 30,401 augmentations reach the
-filter, 4,137 pass it, and 3,389 graphs are kept.  The few duplicates that
-pass are removed by canonical adjacency, each new graph's matching number
-comes from its parent's maximum matching (matching.MatchedGraph), and each
-level is sorted by graph6.
+the best deletable edge it already has.  The augmentations of a level are
+tested in chunks, each as one batch of padded adjacency arrays: the degree
+test, the color refinement (graphs._refine_stack, the refinement of McKay
+and Piperno's "Practical graph isomorphism II", 2014, as array rounds) and
+the color test, with a bridge search only for rivals that are not leaf
+edges.  A Graph is built only for the augmentations that pass, and their
+labeling starts from the colors the filter computed.  Up to k = 10, 11,428
+of the 30,401 augmentations reach the filter, 4,137 pass it, and 3,389
+graphs are kept.  The few duplicates that pass are removed by canonical
+adjacency, each new graph's matching number comes from its parent's maximum
+matching (matching.MatchedGraph), and each level is sorted by graph6.
 
 The hill climber applies the rotations and Kelmans swaps that
 transform.candidate_moves justifies and that keep the class.  One move
@@ -52,7 +60,7 @@ from functools import cache
 from itertools import combinations_with_replacement, groupby, islice
 from operator import itemgetter
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +68,7 @@ from .family import predicted_maximizers
 from .graphs import (
     Graph,
     _bits,
-    _refine,
+    _refine_stack,
     canonical_graph,
     components,
     is_isomorphic,
@@ -83,10 +91,14 @@ from .transform import ROTATION_MARGIN, Move, MoveTable, candidate_table, move_d
 
 DEFAULT_GUARD = 10  # enumeration refuses edge counts beyond this unless raised
 ARGMAX_BAND = 1e-8  # graphs within this of the max radius are co-extremal
-# The climber skips a move whose upper bound falls short of the band by more
-# than this: twice RESIDUAL_TOL, the bound's error from a certified pair,
-# plus rounding, with room to spare.
+# A climber move or a catalog piece is left unsolved only when its upper
+# bound falls short of the band by more than this: twice RESIDUAL_TOL, the
+# error of a move's bound from a certified pair, plus rounding, with room to
+# spare.
 PRUNE_SLACK = 1e-8
+# Catalog growth tests this many augmentations per array batch, which bounds
+# the filter's arrays to a few hundred kB.
+_FILTER_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -120,9 +132,11 @@ _catalog: dict[int, list[tuple[Graph, int]]] = {}
 def connected_catalog(k: int) -> list[tuple[Graph, int]]:
     """All connected graphs with exactly k edges (canonical labels, no
     isolated vertices), each with its matching number; sorted by canonical
-    form.  Cached and grown level by level; an augmentation is tested by the
-    canonical-deletion filter on adjacency masks, and only those that pass
-    become graphs and are canonicalized."""
+    form.  Cached and grown level by level.  The augmentations of a level are
+    streamed in chunks of _FILTER_CHUNK and each chunk is tested by the
+    canonical-deletion filter as one array batch (_canonical_deletions); only
+    those that pass become graphs, are canonicalized from the colors the
+    filter computed, and get a matching number from their parent."""
     if k < 1:
         raise ValueError(f"edge count must be >= 1, got {k}")
     if 1 not in _catalog:
@@ -131,17 +145,16 @@ def connected_catalog(k: int) -> list[tuple[Graph, int]]:
     level = max(_catalog)
     while level < k:
         seen: dict[tuple[int, ...], tuple[Graph, int]] = {}
-        for p, _ in _catalog[level]:
-            matched = None  # built for the first new child of p
-            for adj, deg, e in _augmentations(p):
-                colors = _canonical_deletion(adj, deg, e)
-                if colors is None:
-                    continue
-                h = canonical_graph(Graph(len(adj), tuple(adj)), colors=colors)
+        stream = ((p, e) for p, _ in _catalog[level] for e in _augmentations(p))
+        parent, matched = None, None  # built for the first new child of a parent
+        while chunk := list(islice(stream, _FILTER_CHUNK)):
+            for i, adj, colors in _canonical_deletions(chunk):
+                p, e = chunk[i]
+                u, v = e
+                h = canonical_graph(Graph(len(adj), adj), colors=colors)
                 if h._adj not in seen:
-                    if matched is None:
-                        matched = MatchedGraph(p)
-                    u, v = e
+                    if parent is not p:
+                        parent, matched = p, MatchedGraph(p)
                     nu = (matched.leaf_matching_number(u) if v == p.n
                           else matched.rewired_matching_number((), (e,)))
                     seen[h._adj] = h, nu
@@ -150,12 +163,12 @@ def connected_catalog(k: int) -> list[tuple[Graph, int]]:
     return _catalog[k]
 
 
-def _augmentations(g: Graph) -> Iterator[tuple[list[int], list[int], tuple[int, int]]]:
-    """Adjacency masks and degrees of g + e, with e joining two non-adjacent
-    vertices or hanging a new leaf, paired with e; taken only at the least
-    vertex of each twin class of g, and for a non-edge inside a class at its
-    two least.  Swapping twins is an automorphism of g, so each skipped g + e
-    is isomorphic to one taken, by a map that carries e to its edge.
+def _augmentations(g: Graph) -> Iterator[tuple[int, int]]:
+    """The edges e of the augmentations g + e: e joins two non-adjacent
+    vertices, or hangs a new leaf (u, g.n).  Taken only at the least vertex
+    of each twin class of g, and for a non-edge inside a class at its two
+    least.  Swapping twins is an automorphism of g, so each skipped g + e is
+    isomorphic to one taken, by a map that carries e to its edge.
 
     Nor is e taken when its sorted endpoint degrees in g + e fall below those
     of a deletable edge of g: adding e lowers no degree and keeps that edge
@@ -189,71 +202,100 @@ def _augmentations(g: Graph) -> Iterator[tuple[list[int], list[int], tuple[int, 
         du, dv = degrees[u] + 1, degrees[v] + 1
         if ((du, dv) if du < dv else (dv, du)) < floor:
             continue
-        adj = masks.copy()
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg = degrees.copy()
-        deg[u] = du
-        deg[v] = dv
-        yield adj, deg, (u, v)
+        yield u, v
     for u in ends:
         if degrees[u] > 1 and (1, degrees[u] + 1) < floor:
             continue
-        adj = masks + [1 << u]
-        adj[u] |= 1 << n
-        deg = degrees + [1]
-        deg[u] += 1
-        yield adj, deg, (u, n)
+        yield u, n
 
 
-def _canonical_deletion(
-    adj: list[int], deg: list[int], e: tuple[int, int]
-) -> tuple[int, ...] | None:
-    """The colors _refine(adj, deg) of the graph h with adjacency masks `adj`
-    and degrees `deg` if e is a canonical deletion of h, else None.
+def _adjacency_stack(masks: np.ndarray) -> np.ndarray:
+    """The 0/1 float adjacency matrices of a (B, N) array of adjacency masks."""
+    stack, width = masks.shape
+    bits = masks.astype("<i8").view(np.uint8).reshape(stack, width, 8)
+    return np.unpackbits(bits, axis=2, bitorder="little")[:, :, :width].astype(float)
+
+
+def _canonical_deletions(
+    rows: list[tuple[Graph, tuple[int, int]]]
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(i, masks, _refine(masks, degrees)) of h = p + e for each
+    augmentation rows[i] = (p, e) whose edge e is a canonical deletion of h.
 
     e is canonical when it maximizes the key (sorted endpoint degrees, then
     sorted endpoint colors) over the deletable edges of h, those at a leaf
     or on a cycle.  e is deletable, since removing it leaves the connected
     parent.  The key is an isomorphism invariant, so h is still reached from
-    the parent without e* for any maximizing e*.  Degrees are tested first,
-    and only edges whose key beats that of e are tested for deletability.
+    the parent without e* for any maximizing e*.  The rows are tested
+    together on padded arrays: first the edges whose sorted degrees beat e's,
+    then, for the rows left, the colors of _refine_stack and the edges with
+    e's degrees whose sorted colors beat e's.  The colors refine the degrees
+    in order, so no other edge can beat e by its colors.  A row with a rival
+    edge at a leaf fails at once; only the rows whose rivals are all inner
+    edges are searched for one on a cycle, by _is_bridge.
     """
-    a, b = sorted((deg[e[0]], deg[e[1]]))
-    above_a = above_b = at_b = 0
-    for v, d in enumerate(deg):
-        if d > a:
-            above_a |= 1 << v
-            if d > b:
-                above_b |= 1 << v
-        if d == b:
-            at_b |= 1 << v
-    # a pair beats (a, b) with both ends above a, or one end at a, one above b
-    for u, d in enumerate(deg):
-        if d == a:
-            rivals = adj[u] & above_b
-        elif d > a:
-            rivals = adj[u] & above_a >> (u + 1) << (u + 1)
-        else:
-            continue
-        for v in _bits(rivals):
-            if d == 1 or not _is_bridge(adj, u, v):
-                return None
-    # The colors refine the degrees in order, so only an edge with degrees
-    # (a, b) can beat e by its colors.
-    colors = _refine(adj, deg)
-    x, y = sorted((colors[e[0]], colors[e[1]]))
-    for u, d in enumerate(deg):
-        if d != a:
-            continue
-        cu = colors[u]
-        ties = adj[u] & at_b >> (u + 1) << (u + 1) if a == b else adj[u] & at_b
-        for v in _bits(ties):
-            cv = colors[v]
-            if ((cu, cv) if cu < cv else (cv, cu)) > (x, y):
-                if d == 1 or not _is_bridge(adj, u, v):
-                    return None
-    return colors
+    # the masks of each parent once, padded; then each row's new edge
+    n = np.array([p.n + (e[1] == p.n) for p, e in rows])
+    width = int(n.max())
+    parents: list[tuple[int, ...]] = []
+    which, last = [], None
+    for p, _ in rows:
+        if p is not last:
+            parents.append(p._adj + (0,) * (width - p.n))
+            last = p
+        which.append(len(parents) - 1)
+    masks = np.array(parents, dtype=np.int64)[which]
+    r = np.arange(len(rows))
+    u, v = np.array([e for _, e in rows]).T
+    masks[r, u] |= 1 << v
+    masks[r, v] |= 1 << u
+    adjacency = _adjacency_stack(masks)
+    lo, hi = _sorted_pairs(adjacency.sum(axis=2))
+    edges = (adjacency > 0) & _upper(width)
+    a, b = lo[r, u, v][:, None, None], hi[r, u, v][:, None, None]
+    rival = edges & ((lo > a) | (lo == a) & (hi > b))
+    keep = np.flatnonzero(~_deletable(masks, rival, lo))
+    if not keep.size:
+        return
+    n = n[keep]
+    colors = _refine_stack(adjacency[keep], n)
+    c_lo, c_hi = _sorted_pairs(colors)
+    j, u, v, lo = np.arange(keep.size), u[keep], v[keep], lo[keep]
+    x, y = c_lo[j, u, v][:, None, None], c_hi[j, u, v][:, None, None]
+    tie = edges[keep] & (lo == a[keep]) & (hi[keep] == b[keep])
+    tie &= (c_lo > x) | (c_lo == x) & (c_hi > y)
+    masks = masks[keep]
+    for j in np.flatnonzero(~_deletable(masks, tie, lo)).tolist():
+        yield int(keep[j]), tuple(masks[j, :n[j]].tolist()), tuple(colors[j, :n[j]].tolist())
+
+
+def _sorted_pairs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lesser and the greater of values[r, u] and values[r, v], at [r, u, v]."""
+    first, second = values[:, :, None], values[:, None, :]
+    less = first < second
+    return np.where(less, first, second), np.where(less, second, first)
+
+
+@cache
+def _upper(width: int) -> np.ndarray:
+    """The pairs u < v of a width x width matrix, as a bool mask."""
+    return np.array([[u < v for v in range(width)] for u in range(width)])
+
+
+def _deletable(masks: np.ndarray, edges: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Whether each row's graph, with adjacency masks masks[i], has a
+    deletable edge among the upper-triangle `edges` of its row: one at a leaf
+    (lower endpoint degree `lo` 1), or on a cycle, which _is_bridge decides
+    only for the rows without the first."""
+    found = (edges & (lo == 1)).any(axis=(1, 2))
+    hit = found.tolist()
+    adj, at = None, -1
+    for i, s, t in zip(*(a.tolist() for a in np.nonzero(edges & ~found[:, None, None]))):
+        if not hit[i]:
+            if i != at:
+                adj, at = masks[i].tolist(), i
+            hit[i] = not _is_bridge(adj, s, t)
+    return np.array(hit, dtype=bool)
 
 
 def _is_bridge(adj: list[int], u: int, v: int) -> bool:
@@ -271,34 +313,71 @@ def _is_bridge(adj: list[int], u: int, v: int) -> bool:
     return True
 
 
-# _levels[k]: radii of connected_catalog(k) in catalog order, solved in one batch
-# when a class first needs level k, and Qc(k, b) by b; _kept: the certified pair
-# (q, x, residual) from that batch of each piece within ARGMAX_BAND of its cell
-# maximum, the only pieces that can be or tie with a maximizer's extremal
-# component; _cells: pieces of levels 1..M (M the largest m asked for) in cells
-# (k, b) ordered by k, then b.
+# _levels[k]: per piece of connected_catalog(k), in catalog order, its radius
+# if level k's batch solved it, else its edge bound, below its cell maximum's
+# band; and Qc(k, b) by b.  Solved when a class first needs level k.  _kept:
+# the certified pair (q, x, residual) from that batch of each piece within
+# ARGMAX_BAND of its cell maximum, the only pieces that can be or tie with a
+# maximizer's extremal component; _cells: pieces of levels 1..M (M the largest
+# m asked for) in cells (k, b) ordered by k, then b.
 _levels: dict[int, tuple[list[float], dict[int, float]]] = {}
 _kept: dict[Graph, tuple[float, np.ndarray, float]] = {}
 _cells: list[tuple[int, int, list[Graph]]] = []
 
 
 def _level(k: int) -> tuple[list[float], dict[int, float]]:
+    """Level k's radii and cell maxima, from one q_pairs batch of the pieces
+    that can reach their cell maximum's band.
+
+    Every piece has R <= q <= U (_degree_bounds), so a piece whose edge bound
+    U falls short of the largest R of its cell by more than ARGMAX_BAND (and
+    PRUNE_SLACK for rounding) is below the band of the cell maximum and is
+    not solved.  The maximum and every piece in its band are solved, so Qc
+    and _kept are those of solving every piece.
+    """
     if k not in _levels:
         catalog = connected_catalog(k)
-        radii = [0.0] * len(catalog)
-        batches = list(q_pairs([g for g, _ in catalog]))
+        upper, rayleigh = _degree_bounds([g for g, _ in catalog])
+        # in ascending order, the last value kept for each b is the largest
+        floor = dict(sorted(zip((b for _, b in catalog), rayleigh.tolist())))
+        solve = [i for i, ((_, b), bound) in enumerate(zip(catalog, upper.tolist()))
+                 if bound >= floor[b] - ARGMAX_BAND - PRUNE_SLACK]
+        radii = upper.tolist()
+        batches = list(q_pairs([catalog[i][0] for i in solve]))
         for chunk, q, _, _ in batches:
-            for i, value in zip(chunk, q.tolist()):
-                radii[i] = value
-        # in ascending order, the last radius kept for each b is the cell maximum
+            for j, value in zip(chunk, q.tolist()):
+                radii[solve[j]] = value
+        # a piece left out has a bound below its cell maximum
         cell_max = dict(sorted((b, q) for (_, b), q in zip(catalog, radii)))
         for chunk, _, x, residual in batches:
             for j, i in enumerate(chunk):
-                g, b = catalog[i]
-                if radii[i] >= cell_max[b] - ARGMAX_BAND:
-                    _kept[g] = radii[i], x[j].copy(), float(residual[j])
+                g, b = catalog[solve[i]]
+                if radii[solve[i]] >= cell_max[b] - ARGMAX_BAND:
+                    _kept[g] = radii[solve[i]], x[j].copy(), float(residual[j])
         _levels[k] = radii, cell_max
     return _levels[k]
+
+
+def _degree_bounds(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower bounds on q(G) from degrees alone: U = max over edges
+    uv of d_u + d_v (Cvetkovic, Rowlinson and Simic, "Signless Laplacians of
+    finite graphs", 2007), an integer, and the Rayleigh quotient of the
+    degree vector, R = sum over edges of (d_u + d_v)^2 / sum of d_v^2.
+    Computed on adjacency arrays, _FILTER_CHUNK graphs at a time; each graph
+    needs an edge."""
+    upper, rayleigh = [], []
+    for lo in range(0, len(graphs), _FILTER_CHUNK):
+        chunk = graphs[lo:lo + _FILTER_CHUNK]
+        width = max(g.n for g in chunk)
+        adjacency = _adjacency_stack(np.array([g._adj + (0,) * (width - g.n) for g in chunk]))
+        deg = adjacency.sum(axis=2)
+        neighbor = adjacency * deg[:, None, :]
+        upper.append((deg + neighbor.max(axis=2)).max(axis=1))
+        # sum over edges of d_u^2 + d_v^2 + 2 d_u d_v, by vertices; the sums
+        # are integers far below 2**53, so exact
+        total = (deg * (deg * deg + neighbor.sum(axis=2))).sum(axis=1)
+        rayleigh.append(total / (deg * deg).sum(axis=1))
+    return np.concatenate(upper), np.concatenate(rayleigh)
 
 
 def _bounds(query: EnumerationQuery, guard: int) -> tuple[int, int]:

@@ -37,6 +37,9 @@ from .spectral import q_matrix, q_radius
 ROTATION_MARGIN = 1e-10
 EIGEN_CHECK_TOL = 1e-6
 _SUM_TIE_TOL = 1e-12
+# candidate_table scans the swaps of at most this many edge pairs at a time;
+# every graph with up to 64 edges is one block.
+_SWAP_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,8 @@ def candidate_table(g: Graph, x: Sequence[float]) -> MoveTable:
 
     The rotations are read in row-major order off one table of the sums of
     x over the ends of every edge (rows) and every non-edge (columns); the
-    swaps off one table of the pairs of edges e1 < e2 (rows) and their four
-    orientations (columns).
+    swaps off a table of the pairs of edges e1 < e2 (rows) and their four
+    orientations (columns), built in blocks of at most _SWAP_BLOCK rows.
     """
     x = np.asarray(x, dtype=float)
     n = g.n
@@ -172,20 +175,25 @@ def candidate_table(g: Graph, x: Sequence[float]) -> MoveTable:
     # orientations (e1, e2), both reversed, e1 reversed, e2 reversed.  closed
     # also holds on equal ends, and an end u_i = v_j would make u_i u_j the
     # edge e2, so "neither u_i u_j nor v_i v_j in closed" says that e1, e2 are
-    # independent and both added pairs are non-edges.
-    first, second = np.nonzero(np.tri(len(ends), k=-1, dtype=bool).T)
-    e1, e2 = ends[first], ends[second]
-    ui, vi = e1[:, [0, 1, 1, 0]], e1[:, [1, 0, 0, 1]]
-    uj, vj = e2[:, [0, 1, 0, 1]], e2[:, [1, 0, 1, 0]]
-    pair, side = np.nonzero(
-        ~(closed[ui, uj] | closed[vi, vj]) & _swap_bound(x, (ui, vi), (uj, vj))[1]
-    )
-    ui, vi, uj, vj = ui[pair, side], vi[pair, side], uj[pair, side], vj[pair, side]
-    first, second = first[pair], second[pair]
+    # independent and both added pairs are non-edges.  The pairs are taken
+    # in blocks of consecutive rows, which bounds the working arrays.
+    blocks = []
+    for lo, hi in _pair_blocks(len(ends)):
+        first, second = np.nonzero(np.arange(len(ends)) > np.arange(lo, hi)[:, None])
+        first += lo
+        e1, e2 = ends[first], ends[second]
+        ui, vi = e1[:, [0, 1, 1, 0]], e1[:, [1, 0, 0, 1]]
+        uj, vj = e2[:, [0, 1, 0, 1]], e2[:, [1, 0, 1, 0]]
+        pair, side = np.nonzero(
+            ~(closed[ui, uj] | closed[vi, vj]) & _swap_bound(x, (ui, vi), (uj, vj))[1]
+        )
+        blocks.append((first[pair], second[pair], ui[pair, side], vi[pair, side],
+                       uj[pair, side], vj[pair, side]))
+    first, second, ui, vi, uj, vj = map(np.concatenate, zip(*blocks))
     free_index = np.zeros((n, n), dtype=np.intp)  # of each non-edge, at both its ends
     free_index[free[:, 0], free[:, 1]] = free_index[free[:, 1], free[:, 0]] = np.arange(len(free))
 
-    r, k = len(rows), len(rows) + len(pair)
+    r, k = len(rows), len(rows) + len(first)
     removed_at = np.full((k, 2), -1)
     added_at = np.full((k, 2), -1)
     removed = np.zeros((k, 2))
@@ -202,6 +210,20 @@ def candidate_table(g: Graph, x: Sequence[float]) -> MoveTable:
         list(map(tuple, ends.tolist())), list(map(tuple, free.tolist())),
         removed_at, added_at, removed, added, shared, r,
     )
+
+
+def _pair_blocks(m: int) -> list[tuple[int, int]]:
+    """Ranges lo..hi-1 of first edges e1 that split the pairs e1 < e2 of m
+    edges, in row-major order, into blocks of at most _SWAP_BLOCK pairs (or
+    one first edge); a single block when all C(m, 2) pairs fit."""
+    bounds, size = [0], 0
+    for i in range(m):
+        if size and size + m - 1 - i > _SWAP_BLOCK:
+            bounds.append(i)
+            size = 0
+        size += m - 1 - i
+    bounds.append(m)
+    return list(zip(bounds, bounds[1:]))
 
 
 @functools.cache

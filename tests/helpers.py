@@ -80,6 +80,15 @@ def oracle_q_radius(g: Graph) -> float:
     return float(np.linalg.eigvalsh(ref_q_matrix(g)).max())
 
 
+def oracle_degree_bounds(g: Graph) -> tuple[int, float]:
+    """From the edge list: the largest d_u + d_v over the edges uv of g, and
+    the degree vector's Rayleigh quotient sum (d_u + d_v)^2 / sum d_v^2."""
+    d = [g.degree(v) for v in range(g.n)]
+    edges = g.edges()
+    rayleigh = sum((d[u] + d[v]) ** 2 for u, v in edges) / sum(x * x for x in d)
+    return max(d[u] + d[v] for u, v in edges), rayleigh
+
+
 def oracle_brute_force_max(query) -> tuple[float, list[str]]:
     """Max of oracle_q_radius over every union that enumerate_graphs returns,
     each solved as one whole (possibly disconnected) matrix, with the graph6

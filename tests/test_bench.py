@@ -29,6 +29,10 @@ def test_bench_file_shape(tmp_path):
     layers = data["layers"]
     assert sorted(layers["catalog_level_s"]) == ["1", "2", "3"]
     assert all(isinstance(v, float) for v in layers["catalog_level_s"].values())
+    assert sorted(layers["level_solve_s"]) == ["1", "2", "3"]
+    assert all(isinstance(v, float) for v in layers["level_solve_s"].values())
+    # up to k = 3 every piece can reach its cell maximum: K3 and K1,3 tie at 4
+    assert layers["level_solved_pieces"] == {"1": 1, "2": 1, "3": 3}
     for key in ("canonical_graph_call_s", "q_radius_graph_s", "verdict_s", "climb_step_s",
                 "climb_p90_s", "climb_certified_per_step", "climb_admissions_per_step"):
         assert isinstance(layers[key], float), key

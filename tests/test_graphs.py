@@ -3,10 +3,11 @@ import re
 import time
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspex import graphs as _graphs
+from qspex import graphs as _graphs, search
 from qspex.family import build_s, predicted_extremal, predicted_maximizers
 from qspex.graphs import (
     GRAPH6_MAX_N,
@@ -268,6 +269,60 @@ class TestRefine:
         assert _graphs._refine(path._adj, (0, 0, 0, 0)) == (1, 1, 0, 0)
         # colors with a gap are numbered densely first
         assert _graphs._refine(path._adj, (5, 5, 5, 2)) == (3, 1, 2, 0)
+
+
+def adjacency_arrays(gs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 float adjacency matrices of gs, padded with isolated vertices to
+    the largest, and their vertex counts."""
+    width = max(g.n for g in gs)
+    stack = np.zeros((len(gs), width, width))
+    for r, g in enumerate(gs):
+        for u, v in g.edges():
+            stack[r, u, v] = stack[r, v, u] = 1
+    return stack, np.array([g.n for g in gs])
+
+
+def assert_stack_refines_each(gs: list[Graph], stack: np.ndarray) -> None:
+    colors = _graphs._refine_stack(stack, np.array([g.n for g in gs]))
+    for g, got in zip(gs, colors.tolist()):
+        assert tuple(got[:g.n]) == _graphs._refine(g._adj, [a.bit_count() for a in g._adj])
+
+
+class TestRefineStack:
+    def test_equals_refine_on_every_augmentation(self):
+        # every augmentation that growth tests on levels 1..9, those the
+        # filter rejects included, stacked in growth's chunks
+        for k in range(1, 10):
+            children = [
+                (g.add_vertices(1) if v == g.n else g).add_edge((u, v))
+                for g, _ in connected_catalog(k) for u, v in search._augmentations(g)
+            ]
+            for lo in range(0, len(children), search._FILTER_CHUNK):
+                chunk = children[lo:lo + search._FILTER_CHUNK]
+                assert_stack_refines_each(chunk, adjacency_arrays(chunk)[0])
+
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.one_of(graphs(min_n=1, max_n=12), sparse_graphs(max_n=GRAPH6_MAX_N),
+                  star_like_graphs(), cubic_like_graphs()),
+        min_size=1, max_size=6))
+    def test_equals_refine_on_mixed_stacks(self, gs):
+        # isolated vertices of a graph stay below the padding
+        stack, _ = adjacency_arrays(gs)
+        width = stack.shape[1]
+        masks = np.array([g._adj + (0,) * (width - g.n) for g in gs], dtype=np.int64)
+        assert np.array_equal(search._adjacency_stack(masks), stack)
+        assert_stack_refines_each(gs, stack)
+
+    def test_equals_refine_up_to_62_vertices(self):
+        # counts in base 63 need several float64 words per vertex
+        rng = random.Random(18)
+        gs = [random_graph(rng, max_n=GRAPH6_MAX_N, p=rng.choice([0.03, 0.1, 0.5, 0.9]))
+              for _ in range(60)]
+        gs += [Graph.from_edges(GRAPH6_MAX_N, [(0, v) for v in range(1, GRAPH6_MAX_N)])]
+        for lo in range(0, len(gs), 6):
+            chunk = gs[lo:lo + 6]
+            assert_stack_refines_each(chunk, adjacency_arrays(chunk)[0])
 
 
 class TestCanonical:

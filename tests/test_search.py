@@ -40,6 +40,7 @@ from helpers import (
     oracle_brute_force_max,
     oracle_class_forms,
     oracle_connected_catalog,
+    oracle_degree_bounds,
     oracle_hill_climb,
     oracle_q_radius,
     random_graph,
@@ -262,20 +263,50 @@ class TestClassTable:
         for m in range(1, 9):
             for beta in range(1, m + 1):
                 assert verify_theorem1(m, beta).verdict == "pass"
-        catalog = [to_graph6(g) for k in range(1, 9) for g, _ in connected_catalog(k)]
-        assert sorted(solved) == sorted(catalog)
+        assert len(set(solved)) == len(solved)  # each piece at most once
+        assert_skipped_below_the_band(solved, range(1, 9))
+
+
+def assert_skipped_below_the_band(solved: list[str], levels) -> None:
+    """Each catalog piece of the levels left out of `solved` has an edge
+    bound below its cell's largest degree Rayleigh quotient minus the band,
+    so it is below its cell maximum's band; `solved` has no other graph."""
+    catalog = set()
+    for k in levels:
+        pieces = [(to_graph6(g), b, *oracle_degree_bounds(g)) for g, b in connected_catalog(k)]
+        floor: dict[int, float] = {}
+        for _, b, _, rayleigh in pieces:
+            floor[b] = max(floor.get(b, 0.0), rayleigh)
+        for g6, b, upper, _ in pieces:
+            catalog.add(g6)
+            if g6 not in solved:
+                assert upper < floor[b] - ARGMAX_BAND, (k, g6)
+    assert set(solved) <= catalog
 
 
 class TestCells:
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_cell_maxima_match_oracle(self, k):
+        # every piece solved by the oracle; the level's entry of a piece is
+        # its radius or, when left unsolved, a bound above it
         want: dict[int, float] = {}
-        for g, b in connected_catalog(k):
-            want[b] = max(want.get(b, 0.0), oracle_q_radius(g))
-        qc = search._level(k)[1]
+        radii, qc = search._level(k)
+        for (g, b), got in zip(connected_catalog(k), radii):
+            q = oracle_q_radius(g)
+            assert got >= q - 1e-9
+            want[b] = max(want.get(b, 0.0), q)
         assert sorted(qc) == sorted(want)
         for b, q in want.items():
             assert qc[b] == pytest.approx(q, abs=1e-9)
+
+    def test_degree_bounds_enclose_the_radius(self):
+        rng = random.Random(18)
+        gs = [g for k in range(1, 10) for g, _ in connected_catalog(k)]
+        gs += [h for h in (random_graph(rng, max_n=30) for _ in range(200)) if h.m]
+        upper, rayleigh = search._degree_bounds(gs)
+        for g, u, r in zip(gs, upper.tolist(), rayleigh.tolist()):
+            assert (u, r) == pytest.approx(oracle_degree_bounds(g), abs=1e-12)
+            assert r - 1e-9 <= oracle_q_radius(g) <= u + 1e-9
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_one_connected_maximizer_per_cell(self, k):
@@ -319,9 +350,12 @@ class TestCells:
         pairs = search.q_pairs
         monkeypatch.setattr(search, "q_pairs", counted_q_pairs)
         assert verify_theorem1(10, 1).verdict == "pass"
-        assert batches == [
-            [to_graph6(g) for g, _ in connected_catalog(k)] for k in range(1, 11)
-        ]
+        assert len(batches) == 10
+        for k, batch in enumerate(batches, 1):
+            # pieces of level k in catalog order, each at most once
+            chosen = set(batch)
+            assert batch == [to_graph6(g) for g, _ in connected_catalog(k) if to_graph6(g) in chosen]
+        assert_skipped_below_the_band([g6 for batch in batches for g6 in batch], range(1, 11))
         for beta in range(2, 11):
             assert verify_theorem1(10, beta).verdict == "pass"
         assert len(batches) == 10

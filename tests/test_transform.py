@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from qspex.family import build_h, build_s
 from qspex.graphs import Graph, canonical_form, union_all
+from qspex import transform
 from qspex.matching import matching_number
+from qspex.search import move_bounds
 from qspex.spectral import q_radius
 from qspex.transform import (
     _SUM_TIE_TOL,
     ROTATION_MARGIN,
     RewireResult,
     candidate_moves,
+    candidate_table,
     kelmans_swap,
     move_detail,
     pendant_collapse,
@@ -315,6 +319,48 @@ class TestCandidateMoves:
                 result = kelmans_swap(g, ei, ej, x)
                 assert result.condition_held is ((r, (u_pair, v_pair)) in oriented)
                 assert result.detail == move_detail(r, (u_pair, v_pair))
+
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    def test_blocks_keep_the_row_order(self, block, monkeypatch):
+        rng = random.Random(block)
+        cases = [random_graph(rng, max_n=12) for _ in range(30)]
+        want = [candidate_table(g, q_radius(g).x) for g in cases]
+        monkeypatch.setattr(transform, "_SWAP_BLOCK", block)
+        for g, table in zip(cases, want):
+            got = candidate_table(g, q_radius(g).x)
+            assert (got.edges, got.non_edges, got.rotations) == (
+                table.edges, table.non_edges, table.rotations)
+            for name in ("removed_at", "added_at", "removed", "added", "shared"):
+                assert np.array_equal(getattr(got, name), getattr(table, name)), name
+
+    def test_pair_blocks(self):
+        for m in range(0, 200, 7):
+            blocks = transform._pair_blocks(m)
+            assert blocks[0][0] == 0 and blocks[-1][1] == m
+            assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+            for lo, hi in blocks:
+                pairs = sum(m - 1 - i for i in range(lo, hi))
+                assert pairs <= transform._SWAP_BLOCK or hi == lo + 1
+        # every climb start, and any graph of up to 64 edges, is one block
+        assert all(len(transform._pair_blocks(m)) == 1 for m in range(65))
+
+    def test_peak_memory_is_bounded_by_the_table(self):
+        # a 62-vertex graph with 1,200 edges: built over all C(m, 2) edge
+        # pairs at once, the swap table's temporaries peaked at 5.9 times
+        # the arrays move_bounds returns (209 MB); in blocks, 1.9 (68 MB)
+        rng = random.Random(60)
+        pairs = [(u, v) for u in range(62) for v in range(u + 1, 62)]
+        g = Graph.from_edges(62, rng.sample(pairs, 1200))
+        s = q_radius(g)
+        tracemalloc.start()
+        try:
+            table, lower, upper = move_bounds(g, s.q, s.x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (table.removed_at, table.added_at, table.removed,
+                                          table.added, table.shared, lower, upper))
+        assert peak < 2.5 * returned
 
     def test_detail_lists_removed_then_added_edges(self):
         assert move_detail([(0, 1)], [(1, 2)]) == "-(0, 1) +(1, 2)"
