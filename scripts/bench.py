@@ -6,13 +6,16 @@ Each repetition runs two tasks, each in a fresh interpreter, so the catalog
 starts empty:
 
 - the sweep: verify_theorem1 and its CSV report for every (m, beta) with
-  1 <= beta <= m <= --m-max, timed as a whole.  With every level built, the
-  same process then times, per call: each beta >= 2 verdict again,
-  q_radius on every catalog graph, canonical_graph on every catalog graph
-  under a seeded relabeling, and the hill climber from seeded random starts,
-  per step and per climb (its 90th percentile); an untimed second pass of
-  the climbs counts the matrices certified and the admission checks made
-  per step;
+  1 <= beta <= m <= --m-max, timed as a whole; inside that pass each
+  beta >= 2 verdict is timed too (verdict_cold_s), and so are the matching
+  and lemma checks of each of its maximizers (verify._lemma_status,
+  lemma_status_s).  With every level built, the same process then times,
+  per call: each beta >= 2 verdict again (verdict_s; by then every piece
+  has been seen), q_radius on every catalog graph, canonical_graph on every
+  catalog graph under a seeded relabeling, and the hill climber from seeded
+  random starts, per step and per climb (its 90th percentile); an untimed
+  second pass of the climbs counts the matrices certified and the admission
+  checks made per step;
 - the catalog: connected_catalog(k) for k = 1 .. --m-max, one level per
   call, each followed by the level's solve (search._level), counting the
   pieces it passes to the eigensolver.
@@ -85,6 +88,7 @@ def _median(times: list[float]) -> float | None:
 
 def sweep_task(m_max: int, climbs: int) -> dict:
     """The sweep from an empty catalog, then per-call layer timings."""
+    from qspex import verify
     from qspex.graphs import Graph, canonical_graph, induced_subgraph
     from qspex.matching import matching_number
     from qspex.search import EnumerationQuery, connected_catalog, hill_climb
@@ -92,10 +96,26 @@ def sweep_task(m_max: int, climbs: int) -> dict:
     from qspex.verify import emit_report, verify_theorem1
 
     queries = [(m, beta) for beta in range(1, m_max + 1) for m in range(beta, m_max + 1)]
+    cold, lemma = [], []
+    lemma_status = verify._lemma_status
+
+    def timed_lemma_status(g, s, beta):
+        t1 = time.perf_counter()
+        status = lemma_status(g, s, beta)
+        if beta >= 2:
+            lemma.append(time.perf_counter() - t1)
+        return status
+
+    verify._lemma_status = timed_lemma_status
     t0 = time.perf_counter()
     for m, beta in queries:
-        emit_report(verify_theorem1(m, beta), "csv")
+        t1 = time.perf_counter()
+        report = verify_theorem1(m, beta)
+        if beta >= 2:
+            cold.append(time.perf_counter() - t1)
+        emit_report(report, "csv")
     sweep_s = time.perf_counter() - t0
+    verify._lemma_status = lemma_status
 
     verdicts = _per_call(lambda q: verify_theorem1(*q), [q for q in queries if q[1] >= 2])
     catalog = [g for k in range(1, m_max + 1) for g, _ in connected_catalog(k)]
@@ -121,12 +141,15 @@ def sweep_task(m_max: int, climbs: int) -> dict:
     return {
         "sweep_s": sweep_s,
         "verdict_s": _median(verdicts),
+        "verdict_cold_s": _median(cold),
+        "lemma_status_s": _median(lemma),
         "q_radius_graph_s": _median(radii),
         "canonical_graph_call_s": _median(labelings),
         "climb_step_s": _median(steps),
         "climb_p90_s": climb_p90,
         **climb_counts(starts),
-        "samples": {"verdicts": len(verdicts), "q_radius_graphs": len(radii),
+        "samples": {"verdicts": len(verdicts), "lemma_status_calls": len(lemma),
+                    "q_radius_graphs": len(radii),
                     "canonical_graph_calls": len(labelings), "climbs_with_steps": len(steps)},
     }
 
@@ -244,6 +267,8 @@ def run(args) -> dict:
             "canonical_graph_call_s": median_of("canonical_graph_call_s"),
             "q_radius_graph_s": median_of("q_radius_graph_s"),
             "verdict_s": median_of("verdict_s"),
+            "verdict_cold_s": median_of("verdict_cold_s"),
+            "lemma_status_s": median_of("lemma_status_s"),
             "climb_step_s": median_of("climb_step_s"),
             "climb_p90_s": median_of("climb_p90_s"),
             # counts repeat exactly across repetitions

@@ -34,7 +34,16 @@ def parse_args(argv=None):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in each report")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.beta is not None and min(args.beta) < 1:
+        parser.error("--beta values must be at least 1")
+    if args.m_max > args.guard:
+        parser.error(f"--m-max {args.m_max} exceeds the enumeration guard {args.guard};"
+                     " raise --guard to go bigger")
+    m_lo = 1 if args.m_min is None else args.m_min
+    if not any(max(m_lo, beta) <= args.m_max for beta in args.beta or [1]):
+        parser.error("no query in range: every --beta or --m-min exceeds --m-max")
+    return args
 
 
 def main(argv=None) -> int:

@@ -398,14 +398,22 @@ def extremal_matching(g: Graph, x: np.ndarray) -> Matching:
     stable under eigensolver noise, and only the largest component counts
     against the enumeration guard.
     """
+    return _extremal_matching(g, x.tolist(), {})
+
+
+def _extremal_matching(
+    g: Graph, x: list[float], enumerated: dict[Graph, list[Matching]]
+) -> Matching:
+    """extremal_matching(g, np.array(x)), with the maximum matchings of each
+    component taken from `enumerated`, keyed by the component's masks, and
+    the lists of components not yet in it added there."""
     if g.m == 0:
         raise ValueError("graph has no edges; no matching to select")
     edges: list[tuple[int, int]] = []
-    enumerated: dict[Graph, list[Matching]] = {}  # each distinct part, enumerated once
     for part, verts in components(g):
         if part.m == 0:
             continue
-        x_part = x[list(verts)]
+        x_part = [x[v] for v in verts]
         candidates = enumerated.get(part)
         if candidates is None:
             candidates = enumerated[part] = all_maximum_matchings(part)

@@ -13,9 +13,9 @@ radius lies between the Rayleigh quotient R of its degree vector and its
 edge bound U = max over edges of d_u + d_v, so a piece whose U falls short of
 the largest R of its cell by more than the band is not solved (_level).  Up
 to k = 10 that is 596 of the 3,390 pieces.  The batch keeps the certified
-pair of every piece within ARGMAX_BAND of its cell maximum, so a maximizer's
-spectrum is read from its pieces (maximizer_spectrum) instead of solved
-again.
+pair of every piece within ARGMAX_BAND of its cell maximum, and lists those
+pieces per cell, so a class argmax reads its cells' lists and a maximizer's
+spectrum is read from its pieces (maximizer_spectrum), not solved again.
 
 The catalog grows by edge/leaf augmentation: every connected graph h with
 k+1 edges arises from a connected graph with k edges by adding an edge
@@ -318,10 +318,12 @@ def _is_bridge(adj: list[int], u: int, v: int) -> bool:
 # band; and Qc(k, b) by b.  Solved when a class first needs level k.  _kept:
 # the certified pair (q, x, residual) from that batch of each piece within
 # ARGMAX_BAND of its cell maximum, the only pieces that can be or tie with a
-# maximizer's extremal component; _cells: pieces of levels 1..M (M the largest
-# m asked for) in cells (k, b) ordered by k, then b.
+# maximizer's extremal component; _bands[k, b]: those pieces of cell (k, b)
+# with their radii, in catalog order; _cells: pieces of levels 1..M (M the
+# largest m asked for) in cells (k, b) ordered by k, then b.
 _levels: dict[int, tuple[list[float], dict[int, float]]] = {}
 _kept: dict[Graph, tuple[float, np.ndarray, float]] = {}
+_bands: dict[tuple[int, int], list[tuple[Graph, float]]] = {}
 _cells: list[tuple[int, int, list[Graph]]] = []
 
 
@@ -332,8 +334,8 @@ def _level(k: int) -> tuple[list[float], dict[int, float]]:
     Every piece has R <= q <= U (_degree_bounds), so a piece whose edge bound
     U falls short of the largest R of its cell by more than ARGMAX_BAND (and
     PRUNE_SLACK for rounding) is below the band of the cell maximum and is
-    not solved.  The maximum and every piece in its band are solved, so Qc
-    and _kept are those of solving every piece.
+    not solved.  The maximum and every piece in its band are solved, so Qc,
+    _kept and _bands are those of solving every piece.
     """
     if k not in _levels:
         catalog = connected_catalog(k)
@@ -349,11 +351,16 @@ def _level(k: int) -> tuple[list[float], dict[int, float]]:
                 radii[solve[j]] = value
         # a piece left out has a bound below its cell maximum
         cell_max = dict(sorted((b, q) for (_, b), q in zip(catalog, radii)))
+        bands: dict[int, list[tuple[Graph, float]]] = {b: [] for b in cell_max}
+        # the batches come in catalog order, which graph6 sorts by n first
         for chunk, _, x, residual in batches:
             for j, i in enumerate(chunk):
                 g, b = catalog[solve[i]]
-                if radii[solve[i]] >= cell_max[b] - ARGMAX_BAND:
-                    _kept[g] = radii[solve[i]], x[j].copy(), float(residual[j])
+                q = radii[solve[i]]
+                if q >= cell_max[b] - ARGMAX_BAND:
+                    _kept[g] = q, x[j].copy(), float(residual[j])
+                    bands[b].append((g, q))
+        _bands.update(((k, b), band) for b, band in bands.items())
         _levels[k] = radii, cell_max
     return _levels[k]
 
@@ -459,8 +466,8 @@ def brute_force_max(
     """Max spectral radius over the query class, the largest Qc(k, b) over the
     cells whose remainder class (m - k edges, the rest of the matching number)
     is non-empty, and the graphs within ARGMAX_BAND of it in canonical form
-    order: each piece within the band in such a cell, joined with each graph of
-    its remainder class."""
+    order: each piece within the band in such a cell, read from the cell's
+    band list (_bands), joined with each graph of its remainder class."""
     if query.m < query.beta:
         raise ValueError(
             f"empty class: no graph has {query.m} edges and matching number {query.beta}"
@@ -474,7 +481,7 @@ def brute_force_max(
     argmax = {
         _union((g,) + rest)
         for q, k, b in cells if q >= band
-        for (g, nu), p in zip(connected_catalog(k), _level(k)[0]) if nu == b and p >= band
+        for g, p in _bands[k, b] if p >= band
         for rest in _walk(m - k, lo - b, hi - b, last)
     }
     return best, sorted(argmax, key=to_graph6)

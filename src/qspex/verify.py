@@ -10,7 +10,9 @@ plus the triangle at m = 3, and the report carries no family parameters.
 The two eigenvector lemmas are then checked on every maximizer, with the
 Perron vector of its extremal component as the catalog level's batch solve
 certified it (search.maximizer_spectrum), not solved again; only a
-prediction outside the argmax is solved on its own.
+prediction outside the argmax is solved on its own.  A verdict pays only for
+pieces new to the process: each prediction piece is labeled once, and the
+maximum matchings of each maximizer piece are enumerated once.
 
   lemma 2:  entries of vertices missed by the extremal matching never exceed
             the smallest entry among matched vertices;
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .family import FamilyParams, extremal_params, predicted_maximizers
-from .graphs import Graph, canonical_graph, to_graph6
-from .matching import Matching, OrderedMatching, extremal_matching, proper_ordering
+from .graphs import Graph, canonical_graph, components, part_sort_key, to_graph6, union_all
+from .matching import Matching, OrderedMatching, _extremal_matching, proper_ordering
 from .search import (
     DEFAULT_GUARD,
     EnumerationQuery,
@@ -44,6 +46,12 @@ from .spectral import SpectralData, q_radius
 
 LEMMA_MARGIN = 1e-10
 VALUE_TOL = 1e-8  # |qmax - q(predicted)| bound for a passing verdict
+
+# Kept for the process, keyed by connected pieces (equal masks), so bounded by
+# the catalog and the guard: the canonical labeling of each prediction piece,
+# and the maximum matchings of each maximizer piece, a catalog piece.
+_labeled: dict[Graph, Graph] = {}
+_matchings: dict[Graph, list[Matching]] = {}
 
 
 @dataclass(frozen=True)
@@ -79,13 +87,12 @@ def check_lemma2(
     matched = mstar.vertices()
     if not matched:
         raise ValueError("empty matching; nothing to check")
-    min_matched = min(float(s.x[v]) for v in matched)
+    x = s.x.tolist()
+    min_matched = min(x[v] for v in matched)
     violations = []
     for w in range(g.n):
-        if w in matched:
-            continue
-        if float(s.x[w]) > min_matched + LEMMA_MARGIN:
-            violations.append((w, float(s.x[w]), min_matched))
+        if w not in matched and x[w] > min_matched + LEMMA_MARGIN:
+            violations.append((w, x[w], min_matched))
     return (not violations, violations)
 
 
@@ -109,14 +116,14 @@ def check_lemma3(
     are (i, j, expectation, x_ui, x_vj).
     """
     pairs = om.pairs
+    x = s.x.tolist()
     violations = []
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             ui, vi = pairs[i]
             uj, vj = pairs[j]
             special = _induces_2k2_or_k4(g, (ui, vi, uj, vj))
-            xu = float(s.x[ui])
-            xv = float(s.x[vj])
+            xu, xv = x[ui], x[vj]
             if special:
                 # lemma: x_{u_i} >= x_{v_j}; refuted only by a clear deficit
                 if xu < xv - LEMMA_MARGIN:
@@ -134,10 +141,24 @@ def check_lemma3(
 
 
 def _lemma_status(g: Graph, s: SpectralData, beta: int) -> tuple[bool, bool]:
-    """Lemma 2 and lemma 3 (vacuous for beta = 1) on one solved maximizer."""
-    mstar = extremal_matching(g, s.x)
+    """Lemma 2 and lemma 3 (vacuous for beta = 1) on one solved maximizer,
+    on matchings enumerated once per piece (_matchings)."""
+    x = s.x.tolist()
+    mstar = _extremal_matching(g, x, _matchings)
     ok2, _ = check_lemma2(g, s, mstar)
-    return ok2, beta < 2 or check_lemma3(g, s, proper_ordering(mstar, s.x))[0]
+    return ok2, beta < 2 or check_lemma3(g, s, proper_ordering(mstar, x))[0]
+
+
+def _canonical_prediction(g: Graph) -> Graph:
+    """canonical_graph(g), each piece labeled once per process (_labeled) and
+    the pieces joined in part_sort_key order, as canonical_graph joins them."""
+    parts = []
+    for part, _ in components(g):
+        labeled = _labeled.get(part)
+        if labeled is None:
+            labeled = _labeled[part] = canonical_graph(part)
+        parts.append(labeled)
+    return union_all(sorted(parts, key=part_sort_key))
 
 
 def verify_theorem1(
@@ -167,9 +188,7 @@ def verify_theorem1(
     classes = class_size(query, guard)
     qmax, argmax = brute_force_max(query, guard)
     got = tuple(to_graph6(g) for g in argmax)  # canonical, in graph6 order
-    predicted = sorted(
-        (canonical_graph(g) for g in predicted_maximizers(m, beta)), key=to_graph6
-    )
+    predicted = sorted(map(_canonical_prediction, predicted_maximizers(m, beta)), key=to_graph6)
     expected = tuple(to_graph6(g) for g in predicted)
     spectra = [maximizer_spectrum(g) for g in argmax]  # from the level batches
     q_predicted = (dict(zip(got, spectra)).get(expected[0]) or q_radius(predicted[0])).q

@@ -101,6 +101,28 @@ def oracle_brute_force_max(query) -> tuple[float, list[str]]:
     return best, [to_graph6(g) for g, q in zip(graphs, radii) if q >= best - ARGMAX_BAND]
 
 
+def oracle_level_scan_max(query) -> tuple[float, list[Graph]]:
+    """brute_force_max without the band lists: each cell's argmax pieces are
+    found by scanning its whole catalog level, every piece with its level
+    entry (a radius, or a bound below the band)."""
+    from qspex import search
+
+    lo, hi = search._bounds(query, query.m)
+    m, last = query.m, len(search._cells) - 1
+    cells = [(q, k, b) for k in range(1, m + 1) for b, q in search._level(k)[1].items()
+             if search._count(m - k, lo - b, hi - b, last)]
+    best = max(cells)[0]
+    band = best - search.ARGMAX_BAND
+    argmax = {
+        search._union((g,) + rest)
+        for q, k, b in cells if q >= band
+        for (g, nu), p in zip(search.connected_catalog(k), search._level(k)[0])
+        if nu == b and p >= band
+        for rest in search._walk(m - k, lo - b, hi - b, last)
+    }
+    return best, sorted(argmax, key=to_graph6)
+
+
 def q_gap(g: Graph) -> float:
     """Top eigenvalue of D + A minus the next distinct one (inf if none)."""
     w = np.linalg.eigvalsh(ref_q_matrix(g))

@@ -33,11 +33,13 @@ def test_bench_file_shape(tmp_path):
     assert all(isinstance(v, float) for v in layers["level_solve_s"].values())
     # up to k = 3 every piece can reach its cell maximum: K3 and K1,3 tie at 4
     assert layers["level_solved_pieces"] == {"1": 1, "2": 1, "3": 3}
-    for key in ("canonical_graph_call_s", "q_radius_graph_s", "verdict_s", "climb_step_s",
-                "climb_p90_s", "climb_certified_per_step", "climb_admissions_per_step"):
+    for key in ("canonical_graph_call_s", "q_radius_graph_s", "verdict_s", "verdict_cold_s",
+                "lemma_status_s", "climb_step_s", "climb_p90_s", "climb_certified_per_step",
+                "climb_admissions_per_step"):
         assert isinstance(layers[key], float), key
     # every step certifies the graphs it may apply and checks their matching numbers
     assert layers["climb_certified_per_step"] >= 1 and layers["climb_admissions_per_step"] >= 1
-    # 3 verdicts with beta >= 2; the catalog has 1 + 1 + 3 graphs up to k = 3
-    assert data["samples"] == {"verdicts": 3, "q_radius_graphs": 5,
+    # 3 verdicts with beta >= 2, one maximizer each; the catalog has 1 + 1 + 3
+    # graphs up to k = 3
+    assert data["samples"] == {"verdicts": 3, "lemma_status_calls": 3, "q_radius_graphs": 5,
                                "canonical_graph_calls": 5, "climbs_with_steps": 2}

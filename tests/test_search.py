@@ -42,6 +42,7 @@ from helpers import (
     oracle_connected_catalog,
     oracle_degree_bounds,
     oracle_hill_climb,
+    oracle_level_scan_max,
     oracle_q_radius,
     random_graph,
     trace_text,
@@ -196,10 +197,11 @@ class TestBruteForce:
 
 @pytest.fixture
 def empty_search(monkeypatch):
-    """search with no catalog, no solved levels, no cells and no counts."""
+    """search with no catalog, no solved levels or bands, no cells and no counts."""
     monkeypatch.setattr(search, "_catalog", {})
     monkeypatch.setattr(search, "_levels", {})
     monkeypatch.setattr(search, "_kept", {})
+    monkeypatch.setattr(search, "_bands", {})
     monkeypatch.setattr(search, "_cells", [])
     search._count.cache_clear()
     yield
@@ -321,6 +323,24 @@ class TestCells:
                 assert tops == ["Bw", "CF"]  # K3 and K1,3, both at q = 4
             else:
                 assert len(tops) == 1, (b, tops)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_band_lists_match_a_level_scan(self, k):
+        radii, cell_max = search._level(k)
+        for b, top in cell_max.items():
+            want = [(g, q) for (g, nu), q in zip(connected_catalog(k), radii)
+                    if nu == b and q >= top - ARGMAX_BAND]
+            assert search._bands[k, b] == want, b
+        if k == 3:  # the exact tie of K3 and K1,3
+            assert [(to_graph6(g), q) for g, q in search._bands[3, 1]] == [
+                ("Bw", pytest.approx(4.0, abs=1e-12)), ("CF", pytest.approx(4.0, abs=1e-12))]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_class_maxima_match_a_level_scan(self, m):
+        for mode in ("exact", "at_least"):
+            for beta in range(1, m + 1):
+                query = EnumerationQuery(m, beta, mode)
+                assert brute_force_max(query) == oracle_level_scan_max(query), (beta, mode)
 
     @pytest.mark.parametrize("mode", ["exact", "at_least"])
     def test_feasible_cells_follow_the_closed_form(self, mode):

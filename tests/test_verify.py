@@ -10,7 +10,7 @@ from qspex.family import build_h, build_s, predicted_extremal
 from qspex.graphs import Graph, canonical_graph, from_graph6, induced_subgraph, to_graph6
 from qspex.matching import Matching, OrderedMatching, extremal_matching, proper_ordering
 from qspex.spectral import SpectralData, q_radius
-from qspex import spectral, verify
+from qspex import search, spectral, verify
 from qspex.verify import (
     VerificationReport,
     check_lemma2,
@@ -311,6 +311,32 @@ def test_reports_for_every_class_up_to_m10_are_pinned():
     assert digest.hexdigest() == (
         "53008e773ee15bf0a14558f8b95a03d18e470e9acf0bf2a461714ba09ef09a1b"
     )
+
+
+def test_reports_do_not_depend_on_order(monkeypatch):
+    # the band lists, prediction labelings and maximizer matchings kept for
+    # the process give the same bytes in sweep order, in reverse, and with
+    # all of them emptied before each verdict; a key too coarse would not
+    queries = [(m, beta) for beta in range(1, 11) for m in range(beta, 11)]
+
+    def empty_caches():
+        for module, name in [(search, "_levels"), (search, "_kept"), (search, "_bands"),
+                             (verify, "_labeled"), (verify, "_matchings")]:
+            monkeypatch.setattr(module, name, {})
+
+    def reports(order, before_each=lambda: None):
+        texts = {}
+        for m, beta in order:
+            before_each()
+            r = verify_theorem1(m, beta)
+            texts[m, beta] = emit_report(r, "json") + emit_report(r, "csv")
+        return "".join(texts[q] for q in queries)
+
+    empty_caches()
+    forward = reports(queries)
+    empty_caches()
+    assert reports(queries[::-1]) == forward
+    assert reports(queries, empty_caches) == forward
 
 
 def test_report_dataclass_shape():
