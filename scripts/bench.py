@@ -17,7 +17,7 @@ starts empty:
   second pass of the climbs counts the matrices certified and the admission
   checks made per step;
 - the catalog: connected_catalog(k) for k = 1 .. --m-max, one level per
-  call, each followed by the level's solve (search._level), counting the
+  call, each followed by the level's solve (search._solve), counting the
   pieces it passes to the eigensolver.
 
 The file records the median over repetitions of the sweep time, of each
@@ -201,7 +201,7 @@ def catalog_task(m_max: int) -> dict[str, dict[str, float]]:
         t0 = time.perf_counter()
         search.connected_catalog(k)
         t1 = time.perf_counter()
-        search._level(k)
+        search._solve(k)
         t2 = time.perf_counter()
         growth[str(k)], solve[str(k)] = t1 - t0, t2 - t1
         pieces[str(k)] = sum(solved)

@@ -314,8 +314,9 @@ class MatchedGraph:
 # ---------------------------------------------------------------------------
 
 
-def all_maximum_matchings(g: Graph, guard: int = ENUMERATION_GUARD) -> list[Matching]:
-    """Every maximum matching, sorted by edge tuples.
+def all_maximum_matchings(g: Graph) -> list[Matching]:
+    """Every maximum matching, sorted by edge tuples, of a graph with at most
+    ENUMERATION_GUARD vertices.
 
     Decision search on the lowest still-live vertex: match it to each live
     neighbor, or leave it unmatched.  A branch survives only if the matching
@@ -324,8 +325,8 @@ def all_maximum_matchings(g: Graph, guard: int = ENUMERATION_GUARD) -> list[Matc
     matching number comes from a blossom run on g's adjacency lists cut down
     to the live vertices, cached by their mask.
     """
-    if g.n > guard:
-        raise ValueError(f"vertex count {g.n} exceeds enumeration guard {guard}")
+    if g.n > ENUMERATION_GUARD:
+        raise ValueError(f"vertex count {g.n} exceeds enumeration guard {ENUMERATION_GUARD}")
     n = g.n
     neighbors = [g.neighbors(v) for v in range(n)]
     residual_cache: dict[int, int] = {}

@@ -11,11 +11,12 @@ Each catalog level is solved in one spectral.q_pairs batch of the pieces
 that can reach the band of their cell maximum: from degrees alone, a piece's
 radius lies between the Rayleigh quotient R of its degree vector and its
 edge bound U = max over edges of d_u + d_v, so a piece whose U falls short of
-the largest R of its cell by more than the band is not solved (_level).  Up
-to k = 10 that is 596 of the 3,390 pieces.  The batch keeps the certified
-pair of every piece within ARGMAX_BAND of its cell maximum, and lists those
-pieces per cell, so a class argmax reads its cells' lists and a maximizer's
-spectrum is read from its pieces (maximizer_spectrum), not solved again.
+the largest R of its cell by more than the band is not solved (_solve).  Up
+to k = 10 that is 596 of the 3,390 pieces.  One table, _bands, holds each
+cell's maximum with the pieces within ARGMAX_BAND of it, and the batch keeps
+the certified pair of each such piece, so a class argmax reads its cells'
+lists and a maximizer's spectrum is read from its pieces
+(maximizer_spectrum), not solved again.
 
 The catalog grows by edge/leaf augmentation: every connected graph h with
 k+1 edges arises from a connected graph with k edges by adding an edge
@@ -41,7 +42,7 @@ adjacency, each new graph's matching number comes from its parent's maximum
 matching (matching.MatchedGraph), and each level is sorted by graph6.
 
 The hill climber applies the rotations and Kelmans swaps that
-transform.candidate_moves justifies and that keep the class.  One move
+transform.candidate_table justifies and that keep the class.  One move
 changes at most two edges, so it decides each move's matching number from
 the current graph's maximum matching (matching.MatchedGraph) instead of a
 blossom run on the rewired graph.  A move adds rank-one terms to Q, so the
@@ -64,7 +65,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .family import predicted_maximizers
+from .family import extremal_params, predicted_maximizers
 from .graphs import (
     Graph,
     _bits,
@@ -313,56 +314,46 @@ def _is_bridge(adj: list[int], u: int, v: int) -> bool:
     return True
 
 
-# _levels[k]: per piece of connected_catalog(k), in catalog order, its radius
-# if level k's batch solved it, else its edge bound, below its cell maximum's
-# band; and Qc(k, b) by b.  Solved when a class first needs level k.  _kept:
-# the certified pair (q, x, residual) from that batch of each piece within
-# ARGMAX_BAND of its cell maximum, the only pieces that can be or tie with a
-# maximizer's extremal component; _bands[k, b]: those pieces of cell (k, b)
-# with their radii, in catalog order; _cells: pieces of levels 1..M (M the
-# largest m asked for) in cells (k, b) ordered by k, then b.
-_levels: dict[int, tuple[list[float], dict[int, float]]] = {}
+# _bands[k, b]: Qc(k, b) and the pieces of cell (k, b) within ARGMAX_BAND of
+# it, in catalog order, the only pieces that can be or tie with a maximizer's
+# extremal component; solved when a class first needs level k.  _kept: the
+# certified pair (q, x, residual) of each band piece from that batch.
+# _cells: pieces of levels 1..M (M the largest m asked for) in cells (k, b)
+# ordered by k, then b.
+_bands: dict[tuple[int, int], tuple[float, list[Graph]]] = {}
 _kept: dict[Graph, tuple[float, np.ndarray, float]] = {}
-_bands: dict[tuple[int, int], list[tuple[Graph, float]]] = {}
 _cells: list[tuple[int, int, list[Graph]]] = []
 
 
-def _level(k: int) -> tuple[list[float], dict[int, float]]:
-    """Level k's radii and cell maxima, from one q_pairs batch of the pieces
-    that can reach their cell maximum's band.
+def _solve(k: int) -> None:
+    """Fill _bands and _kept for the cells of level k, from one q_pairs batch
+    of the pieces that can reach their cell maximum's band.
 
     Every piece has R <= q <= U (_degree_bounds), so a piece whose edge bound
     U falls short of the largest R of its cell by more than ARGMAX_BAND (and
     PRUNE_SLACK for rounding) is below the band of the cell maximum and is
-    not solved.  The maximum and every piece in its band are solved, so Qc,
-    _kept and _bands are those of solving every piece.
+    not solved.  The maximum and every piece in its band are solved, so
+    _bands and _kept are those of solving every piece.
     """
-    if k not in _levels:
-        catalog = connected_catalog(k)
-        upper, rayleigh = _degree_bounds([g for g, _ in catalog])
-        # in ascending order, the last value kept for each b is the largest
-        floor = dict(sorted(zip((b for _, b in catalog), rayleigh.tolist())))
-        solve = [i for i, ((_, b), bound) in enumerate(zip(catalog, upper.tolist()))
-                 if bound >= floor[b] - ARGMAX_BAND - PRUNE_SLACK]
-        radii = upper.tolist()
-        batches = list(q_pairs([catalog[i][0] for i in solve]))
-        for chunk, q, _, _ in batches:
-            for j, value in zip(chunk, q.tolist()):
-                radii[solve[j]] = value
-        # a piece left out has a bound below its cell maximum
-        cell_max = dict(sorted((b, q) for (_, b), q in zip(catalog, radii)))
-        bands: dict[int, list[tuple[Graph, float]]] = {b: [] for b in cell_max}
-        # the batches come in catalog order, which graph6 sorts by n first
-        for chunk, _, x, residual in batches:
-            for j, i in enumerate(chunk):
-                g, b = catalog[solve[i]]
-                q = radii[solve[i]]
-                if q >= cell_max[b] - ARGMAX_BAND:
-                    _kept[g] = q, x[j].copy(), float(residual[j])
-                    bands[b].append((g, q))
-        _bands.update(((k, b), band) for b, band in bands.items())
-        _levels[k] = radii, cell_max
-    return _levels[k]
+    if (k, 1) in _bands:  # the star K1,k is in cell (k, 1) of every level
+        return
+    catalog = connected_catalog(k)
+    upper, rayleigh = _degree_bounds([g for g, _ in catalog])
+    # in ascending order, the last value kept for each b is the largest
+    floor = dict(sorted(zip((b for _, b in catalog), rayleigh.tolist())))
+    solve = [entry for entry, bound in zip(catalog, upper.tolist())
+             if bound >= floor[entry[1]] - ARGMAX_BAND - PRUNE_SLACK]
+    # the batches come in catalog order, which graph6 sorts by n first
+    solved = [(solve[i], q, x[j], float(residual[j]))
+              for chunk, qs, x, residual in q_pairs([g for g, _ in solve])
+              for j, (i, q) in enumerate(zip(chunk, qs.tolist()))]
+    # as for floor: the last q kept for each b is the cell maximum
+    bands = {b: (q, []) for b, q in sorted((b, q) for (_, b), q, *_ in solved)}
+    for (g, b), q, x, residual in solved:
+        if q >= bands[b][0] - ARGMAX_BAND:
+            _kept[g] = q, x.copy(), residual
+            bands[b][1].append(g)
+    _bands.update(((k, b), band) for b, band in bands.items())
 
 
 def _degree_bounds(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
@@ -474,14 +465,16 @@ def brute_force_max(
         )
     lo, hi = _bounds(query, guard)
     m, last = query.m, len(_cells) - 1
-    cells = [(q, k, b) for k in range(1, m + 1) for b, q in _level(k)[1].items()
-             if _count(m - k, lo - b, hi - b, last)]
+    for k in range(1, m + 1):
+        _solve(k)
+    cells = [(q, k, b) for (k, b), (q, _) in _bands.items()
+             if k <= m and _count(m - k, lo - b, hi - b, last)]
     best = max(cells)[0]
     band = best - ARGMAX_BAND
     argmax = {
         _union((g,) + rest)
         for q, k, b in cells if q >= band
-        for g, p in _bands[k, b] if p >= band
+        for g in _bands[k, b][1] if _kept[g][0] >= band
         for rest in _walk(m - k, lo - b, hi - b, last)
     }
     return best, sorted(argmax, key=to_graph6)
@@ -576,7 +569,7 @@ def hill_climb(
     start: Graph, query: EnumerationQuery, max_steps: int = 64
 ) -> ClimbTrace:
     """Steepest-ascent climb inside the query class over the moves of
-    transform.candidate_moves: justified rotations and swap orientations.
+    transform.candidate_table: justified rotations and swap orientations.
 
     Among the moves that stay in the class and raise q by more than the
     solver margin, each step applies the least (move, detail) of those whose
@@ -653,7 +646,15 @@ def hill_climb(
         pair = (q_after, x_after) if len(components(current)) == 1 else None
 
     trimmed = strip_isolated(current)
-    converged = any(
+    # no prediction has fewer vertices than `order` (S(a, b, c) + d*K2, or
+    # the star, or at m = 3 the triangle), and none is built that has more
+    # than the end graph: it could have more than a Graph can hold
+    if query.beta > 1:
+        p = extremal_params(query.m, query.beta)
+        order = 1 + p.a + 2 * (p.b + p.c + p.d)
+    else:
+        order = 3 if query.m == 3 else query.m + 1
+    converged = order <= trimmed.n and any(
         is_isomorphic(trimmed, t) for t in predicted_maximizers(query.m, query.beta)
     )
     return ClimbTrace(

@@ -12,16 +12,16 @@ preserving the edge count.
 `candidate_table` finds every rotation and swap orientation of a graph that
 these preconditions justify, as (move, removed, added), with the eigenvector
 sums over the ends of the edges each move removes and adds, from which the
-hill climber bounds each move's radius; `candidate_moves` yields its moves.
-The table, `rotate` and `kelmans_swap` share one test per precondition and
-one detail format, `move_detail`.
+hill climber bounds each move's radius.  The table, `rotate` and
+`kelmans_swap` share one test per precondition and one detail format,
+`move_detail`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -118,7 +118,7 @@ Move = tuple[str, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 @dataclass(frozen=True)
 class MoveTable:
-    """The moves of candidate_moves in its order, one row each: the indices
+    """The moves of candidate_table in its order, one row each: the indices
     of the edges a move removes in `edges` and of the non-edges it adds in
     `non_edges` (a rotation's second column is -1), the sums x_a + x_b of the
     eigenvector over the ends of those edges (a rotation's second column is
@@ -151,12 +151,18 @@ class MoveTable:
 
 def candidate_table(g: Graph, x: Sequence[float]) -> MoveTable:
     """The rotations and swap orientations of g that their preconditions
-    justify under the principal eigenvector x, with their endpoint sums.
+    justify under the principal eigenvector x, with their endpoint sums;
+    move(i) gives row i as (move, removed, added), where a swap's first
+    added edge is u_i u_j, which fixes its orientation.
 
-    The rotations are read in row-major order off one table of the sums of
-    x over the ends of every edge (rows) and every non-edge (columns); the
-    swaps off a table of the pairs of edges e1 < e2 (rows) and their four
-    orientations (columns), built in blocks of at most _SWAP_BLOCK rows.
+    Rotations come first, by removed edge, then by added non-edge, read in
+    row-major order off one table of the sums of x over the ends of every
+    edge (rows) and every non-edge (columns).  Swaps follow by pair of
+    independent edges e1 < e2, read off a table of those pairs (rows) and
+    their four orientations (columns): (e1, e2), both reversed, e1 reversed,
+    e2 reversed.  Reversing both edges negates both gain factors, so at most
+    one orientation per pairing passes.  The table is built in blocks of at
+    most _SWAP_BLOCK pairs.
     """
     x = np.asarray(x, dtype=float)
     n = g.n
@@ -233,27 +239,12 @@ def _pairs(n: int) -> np.ndarray:
     return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
-def candidate_moves(g: Graph, x: Sequence[float]) -> Iterator[Move]:
-    """The rotations and swap orientations of g that their preconditions
-    justify under the principal eigenvector x, as (move, removed, added);
-    a swap's first added edge is u_i u_j, which fixes its orientation.
-
-    Rotations come first, by removed edge, then by added non-edge.  Swaps
-    follow by pair of independent edges e1 < e2, trying the orientations
-    (e1, e2), both reversed, e1 reversed, e2 reversed; reversing both edges
-    negates both gain factors, so at most one orientation per pairing passes.
-    The moves are the rows of candidate_table, which the climber reads.
-    """
-    table = candidate_table(g, x)
-    return (table.move(i) for i in range(len(table)))
-
-
 def rotate(g: Graph, x: np.ndarray, e: tuple[int, int], f: tuple[int, int]) -> RewireResult:
     """Remove edge e = u1 u2, add non-edge f = v1 v2.
 
     Preconditions (checked): x is the principal eigenvector of g, and
     x_v1 + x_v2 >= x_u1 + x_u2 > 0 up to a 1e-12 band, the test
-    candidate_moves applies.  Under them the spectral radius strictly
+    candidate_table applies.  Under them the spectral radius strictly
     increases, and this is asserted against the measured radii within
     ROTATION_MARGIN.
     """
@@ -305,7 +296,7 @@ def kelmans_swap(
     up).  With x the principal eigenvector of g, the Rayleigh calculation
     predicts q_after - q_before >= 2 (x_vj - x_ui)(x_vi - x_uj); the bound is
     guaranteed when both factors are positive, which is recorded in
-    condition_held rather than asserted.  candidate_moves yields exactly the
+    condition_held rather than asserted.  candidate_table lists exactly the
     orientations for which it holds.
     """
     ui, vi = ei

@@ -30,6 +30,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from .family import FamilyParams, extremal_params, predicted_maximizers
@@ -50,7 +51,7 @@ VALUE_TOL = 1e-8  # |qmax - q(predicted)| bound for a passing verdict
 # Kept for the process, keyed by connected pieces (equal masks), so bounded by
 # the catalog and the guard: the canonical labeling of each prediction piece,
 # and the maximum matchings of each maximizer piece, a catalog piece.
-_labeled: dict[Graph, Graph] = {}
+_canonical_piece = cache(canonical_graph)
 _matchings: dict[Graph, list[Matching]] = {}
 
 
@@ -149,18 +150,6 @@ def _lemma_status(g: Graph, s: SpectralData, beta: int) -> tuple[bool, bool]:
     return ok2, beta < 2 or check_lemma3(g, s, proper_ordering(mstar, x))[0]
 
 
-def _canonical_prediction(g: Graph) -> Graph:
-    """canonical_graph(g), each piece labeled once per process (_labeled) and
-    the pieces joined in part_sort_key order, as canonical_graph joins them."""
-    parts = []
-    for part, _ in components(g):
-        labeled = _labeled.get(part)
-        if labeled is None:
-            labeled = _labeled[part] = canonical_graph(part)
-        parts.append(labeled)
-    return union_all(sorted(parts, key=part_sort_key))
-
-
 def verify_theorem1(
     m: int,
     beta: int,
@@ -188,7 +177,12 @@ def verify_theorem1(
     classes = class_size(query, guard)
     qmax, argmax = brute_force_max(query, guard)
     got = tuple(to_graph6(g) for g in argmax)  # canonical, in graph6 order
-    predicted = sorted(map(_canonical_prediction, predicted_maximizers(m, beta)), key=to_graph6)
+    # each piece labeled once per process, joined as canonical_graph joins them
+    predicted = sorted(
+        (union_all(sorted([_canonical_piece(p) for p, _ in components(t)], key=part_sort_key))
+         for t in predicted_maximizers(m, beta)),
+        key=to_graph6,
+    )
     expected = tuple(to_graph6(g) for g in predicted)
     spectra = [maximizer_spectrum(g) for g in argmax]  # from the level batches
     q_predicted = (dict(zip(got, spectra)).get(expected[0]) or q_radius(predicted[0])).q

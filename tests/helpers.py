@@ -3,7 +3,8 @@
 Each oracle takes a code path disjoint from the library's: graph6 encoding by
 naive bit-list packing, matching number by exhaustive memoized edge-branching,
 spectral radius by power iteration (and, as a second route, by a dense
-eigenvalue-only solve), class maxima by solving every union as one matrix,
+eigenvalue-only solve), class maxima by solving every union as one matrix
+and by a scan of each catalog level with every piece solved densely,
 class enumeration by labeled edge-set recursion, canonical labeling by
 individualization-refinement without twin pruning on a whole-graph color
 refinement, the connected catalog by canonicalizing every augmentation, and
@@ -101,23 +102,37 @@ def oracle_brute_force_max(query) -> tuple[float, list[str]]:
     return best, [to_graph6(g) for g, q in zip(graphs, radii) if q >= best - ARGMAX_BAND]
 
 
+@lru_cache(maxsize=None)
+def oracle_cell_bands(k: int) -> dict[int, tuple[float, list[tuple[Graph, float]]]]:
+    """By matching number b, the maximum of oracle_q_radius over the graphs
+    of cell (k, b) of the connected catalog, found by scanning the whole
+    level, and the graphs within ARGMAX_BAND of it with their radii, in
+    catalog order.  A regrown catalog has the same graphs (equal masks)."""
+    from qspex.search import ARGMAX_BAND, connected_catalog
+
+    level = [(g, b, oracle_q_radius(g)) for g, b in connected_catalog(k)]
+    top: dict[int, float] = {}
+    for _, b, q in level:
+        top[b] = max(top.get(b, 0.0), q)
+    return {b: (q, [(g, p) for g, nu, p in level if nu == b and p >= q - ARGMAX_BAND])
+            for b, q in sorted(top.items())}
+
+
 def oracle_level_scan_max(query) -> tuple[float, list[Graph]]:
-    """brute_force_max without the band lists: each cell's argmax pieces are
-    found by scanning its whole catalog level, every piece with its level
-    entry (a radius, or a bound below the band)."""
+    """brute_force_max without the band lists or the program's radii: each
+    cell's maximum and argmax pieces come from oracle_cell_bands."""
     from qspex import search
 
     lo, hi = search._bounds(query, query.m)
     m, last = query.m, len(search._cells) - 1
-    cells = [(q, k, b) for k in range(1, m + 1) for b, q in search._level(k)[1].items()
+    cells = [(q, k, b) for k in range(1, m + 1) for b, (q, _) in oracle_cell_bands(k).items()
              if search._count(m - k, lo - b, hi - b, last)]
     best = max(cells)[0]
     band = best - search.ARGMAX_BAND
     argmax = {
         search._union((g,) + rest)
         for q, k, b in cells if q >= band
-        for (g, nu), p in zip(search.connected_catalog(k), search._level(k)[0])
-        if nu == b and p >= band
+        for g, p in oracle_cell_bands(k)[b][1] if p >= band
         for rest in search._walk(m - k, lo - b, hi - b, last)
     }
     return best, sorted(argmax, key=to_graph6)
@@ -275,16 +290,17 @@ def oracle_hill_climb(start: Graph, query, max_steps: int = 64):
     from qspex.matching import MatchedGraph
     from qspex.search import ClimbStep, ClimbTrace
     from qspex.spectral import Q_MARGIN, q_radii, q_radius
-    from qspex.transform import ROTATION_MARGIN, candidate_moves, move_detail
+    from qspex.transform import ROTATION_MARGIN, candidate_table, move_detail
 
     matched = MatchedGraph(start)
     current = start
     steps = []
     for _ in range(max_steps):
         spectrum = q_radius(current)
+        table = candidate_table(current, spectrum.x)
         moves = [
             (move, removed, added, current.rewire(removed, added))
-            for move, removed, added in candidate_moves(current, spectrum.x)
+            for move, removed, added in map(table.move, range(len(table)))
             if query.admits(matched.rewired_matching_number(removed, added))
         ]
         gains = [

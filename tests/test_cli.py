@@ -278,6 +278,18 @@ class TestClimb:
         assert code == 0
         assert lines[-2] == "steps 0" and lines[-1] == "converged true"
 
+    @pytest.mark.parametrize("n, klass", [
+        (13, ["--beta", "6"]), (13, ["--beta", "2", "--at-least"]),
+        (12, ["--beta", "1", "--at-least"]),
+    ], ids=["K13-beta6", "K13-beta2-at-least", "K12-beta1-at-least"])
+    def test_prediction_larger_than_any_graph(self, capsys, n, klass):
+        # K13 and K12: the predictions for their 78 and 66 edges have 74, 78
+        # and 67 vertices, more than graph6 allows and than the end graph has
+        kn = to_graph6(Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)]))
+        code, out, err = run(capsys, "climb", "--start", kn, "--m", str(n * (n - 1) // 2), *klass)
+        assert code == 0 and err == ""
+        assert out.strip().split("\n")[-1] == "converged false"
+
     def test_start_outside_class(self, capsys):
         code, _, err = run(capsys, "climb", "--start", C5, "--m", "5", "--beta", "3")
         assert code == 1 and "class" in err

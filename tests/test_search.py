@@ -38,6 +38,7 @@ from qspex.verify import verify_theorem1
 from helpers import (
     climb_starts,
     oracle_brute_force_max,
+    oracle_cell_bands,
     oracle_class_forms,
     oracle_connected_catalog,
     oracle_degree_bounds,
@@ -199,7 +200,6 @@ class TestBruteForce:
 def empty_search(monkeypatch):
     """search with no catalog, no solved levels or bands, no cells and no counts."""
     monkeypatch.setattr(search, "_catalog", {})
-    monkeypatch.setattr(search, "_levels", {})
     monkeypatch.setattr(search, "_kept", {})
     monkeypatch.setattr(search, "_bands", {})
     monkeypatch.setattr(search, "_cells", [])
@@ -228,11 +228,11 @@ class TestClassTable:
         # catalog regrown from nothing, they serve m = 9 and m = 4 alike
         for m, beta in [(9, 3), (4, 2), (4, 1)]:
             assert_matches_union_oracle(EnumerationQuery(m, beta, "exact"))
-        assert search._cells[-1][0] == 9 and sorted(search._levels) == list(range(1, 10))
+        assert search._cells[-1][0] == 9 and {k for k, _ in search._bands} == set(range(1, 10))
         monkeypatch.setattr(search, "_catalog", {})
         for m, beta in [(10, 3), (9, 3), (4, 2)]:
             assert_matches_union_oracle(EnumerationQuery(m, beta, "exact"))
-        assert search._cells[-1][0] == 10 and sorted(search._levels) == list(range(1, 11))
+        assert search._cells[-1][0] == 10 and {k for k, _ in search._bands} == set(range(1, 11))
 
     def test_empty_and_guarded_classes(self):
         assert class_size(EnumerationQuery(2, 3)) == 0
@@ -289,17 +289,12 @@ def assert_skipped_below_the_band(solved: list[str], levels) -> None:
 class TestCells:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_cell_maxima_match_oracle(self, k):
-        # every piece solved by the oracle; the level's entry of a piece is
-        # its radius or, when left unsolved, a bound above it
-        want: dict[int, float] = {}
-        radii, qc = search._level(k)
-        for (g, b), got in zip(connected_catalog(k), radii):
-            q = oracle_q_radius(g)
-            assert got >= q - 1e-9
-            want[b] = max(want.get(b, 0.0), q)
-        assert sorted(qc) == sorted(want)
-        for b, q in want.items():
-            assert qc[b] == pytest.approx(q, abs=1e-9)
+        # every piece solved by the oracle
+        want = oracle_cell_bands(k)
+        search._solve(k)
+        assert sorted(b for level, b in search._bands if level == k) == sorted(want)
+        for b, (q, _) in want.items():
+            assert search._bands[k, b][0] == pytest.approx(q, abs=1e-9)
 
     def test_degree_bounds_enclose_the_radius(self):
         rng = random.Random(18)
@@ -312,13 +307,9 @@ class TestCells:
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_one_connected_maximizer_per_cell(self, k):
-        radii, qc = search._level(k)
-        for b, top in qc.items():
-            tops = [
-                to_graph6(g)
-                for (g, nu), q in zip(connected_catalog(k), radii)
-                if nu == b and q >= top - ARGMAX_BAND
-            ]
+        search._solve(k)
+        for b in sorted(b for level, b in search._bands if level == k):
+            tops = [to_graph6(g) for g in search._bands[k, b][1]]
             if (k, b) == (3, 1):
                 assert tops == ["Bw", "CF"]  # K3 and K1,3, both at q = 4
             else:
@@ -326,13 +317,14 @@ class TestCells:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_band_lists_match_a_level_scan(self, k):
-        radii, cell_max = search._level(k)
-        for b, top in cell_max.items():
-            want = [(g, q) for (g, nu), q in zip(connected_catalog(k), radii)
-                    if nu == b and q >= top - ARGMAX_BAND]
-            assert search._bands[k, b] == want, b
+        search._solve(k)
+        for b, (_, want) in oracle_cell_bands(k).items():
+            pieces = search._bands[k, b][1]
+            assert pieces == [g for g, _ in want], b
+            assert [search._kept[g][0] for g in pieces] == pytest.approx(
+                [q for _, q in want], abs=1e-9)
         if k == 3:  # the exact tie of K3 and K1,3
-            assert [(to_graph6(g), q) for g, q in search._bands[3, 1]] == [
+            assert [(to_graph6(g), search._kept[g][0]) for g in search._bands[3, 1][1]] == [
                 ("Bw", pytest.approx(4.0, abs=1e-12)), ("CF", pytest.approx(4.0, abs=1e-12))]
 
     @pytest.mark.parametrize("m", range(1, 11))
@@ -340,7 +332,10 @@ class TestCells:
         for mode in ("exact", "at_least"):
             for beta in range(1, m + 1):
                 query = EnumerationQuery(m, beta, mode)
-                assert brute_force_max(query) == oracle_level_scan_max(query), (beta, mode)
+                qmax, argmax = brute_force_max(query)
+                want_q, want_argmax = oracle_level_scan_max(query)
+                assert qmax == pytest.approx(want_q, abs=1e-9)
+                assert argmax == want_argmax, (beta, mode)
 
     @pytest.mark.parametrize("mode", ["exact", "at_least"])
     def test_feasible_cells_follow_the_closed_form(self, mode):
@@ -391,9 +386,9 @@ class TestMaximizerSpectrum:
     def test_levels_keep_the_band_of_each_cell(self, empty_search):
         want = []
         for k in range(1, 9):
-            radii, cell_max = search._level(k)
-            want += [g for (g, b), q in zip(connected_catalog(k), radii)
-                     if q >= cell_max[b] - ARGMAX_BAND]
+            search._solve(k)
+            band = {g for _, pieces in oracle_cell_bands(k).values() for g, _ in pieces}
+            want += [g for g, _ in connected_catalog(k) if g in band]
         assert list(search._kept) == want
         for g in want:
             q, x, residual = search._kept[g]
@@ -405,7 +400,7 @@ class TestMaximizerSpectrum:
         rng = random.Random(5)
         pieces = [g for k in range(1, 7) for g, _ in connected_catalog(k)]
         for k in range(1, 7):
-            search._level(k)
+            search._solve(k)
         kept = [g for g in search._kept if g.m <= 6]
         for _ in range(80):
             chosen = rng.choices(kept, k=rng.randint(1, 3))

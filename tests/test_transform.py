@@ -15,7 +15,6 @@ from qspex.transform import (
     _SUM_TIE_TOL,
     ROTATION_MARGIN,
     RewireResult,
-    candidate_moves,
     candidate_table,
     kelmans_swap,
     move_detail,
@@ -273,7 +272,7 @@ def swap_orientations(removed, added):
 
 
 class TestCandidateMoves:
-    """candidate_moves against every rotation and swap of the graph filtered
+    """candidate_table's moves against every rotation and swap of the graph filtered
     by the stated preconditions, and against what rotate and kelmans_swap
     accept for the same eigenvector."""
 
@@ -298,7 +297,8 @@ class TestCandidateMoves:
             for r, a in swaps
             if any(orientation_ok(ei, ej) for ei, ej in swap_orientations(r, a))
         ]
-        moves = list(candidate_moves(g, x))
+        table = candidate_table(g, x)
+        moves = [table.move(i) for i in range(len(table))]
         assert [(kind, r, frozenset(a)) for kind, r, a in moves] == expected
 
         yielded = {(r, a) for kind, r, a in moves if kind == "rotate"}

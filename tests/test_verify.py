@@ -320,9 +320,9 @@ def test_reports_do_not_depend_on_order(monkeypatch):
     queries = [(m, beta) for beta in range(1, 11) for m in range(beta, 11)]
 
     def empty_caches():
-        for module, name in [(search, "_levels"), (search, "_kept"), (search, "_bands"),
-                             (verify, "_labeled"), (verify, "_matchings")]:
+        for module, name in [(search, "_kept"), (search, "_bands"), (verify, "_matchings")]:
             monkeypatch.setattr(module, name, {})
+        verify._canonical_piece.cache_clear()
 
     def reports(order, before_each=lambda: None):
         texts = {}
