@@ -23,7 +23,6 @@ from .spectral import (
     SpectralData,
     eigen_equation_check,
     q_matrix,
-    q_radii,
     q_radius,
     rayleigh_sum,
 )

@@ -8,7 +8,8 @@ matching number beta >= 2 are S(a, b, c) disjoint-union d extra independent
 edges, with (a, b, c, d) determined by the size regime; predicted_extremal
 builds exactly that graph.  For beta = 1 the maximizers are the star, and at
 m = 3 also the triangle.  predicted_maximizers answers for every beta >= 1,
-so callers need not treat beta = 1 apart.  Four small fixed graphs H1..H4
+so callers need not treat beta = 1 apart, and predicted_order counts their
+fewest vertices without building one.  Four small fixed graphs H1..H4
 appear as intermediate rewiring targets and in tests.
 """
 
@@ -124,11 +125,27 @@ def predicted_maximizers(m: int, beta: int) -> list[Graph]:
     parameter formulas do not apply, it is the star S(m, 0, 0), and at m = 3
     also the triangle, which has the same radius 4.
     """
-    if beta < 1:
-        raise ValueError(f"matching number must be >= 1, got {beta}")
-    if m < beta:
-        raise ValueError(f"no graph has {m} edges and matching number {beta}")
+    _check_class(m, beta)
     if beta >= 2:
         return [predicted_extremal(m, beta)]
     triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     return [build_s(m, 0, 0)] + ([triangle] if m == 3 else [])
+
+
+def predicted_order(m: int, beta: int) -> int:
+    """The fewest vertices of a graph in predicted_maximizers(m, beta),
+    without building one (it may have more than a Graph can hold): the
+    layout of build_s plus d*K2 for beta >= 2, else the star's m + 1, or the
+    triangle's 3 at m = 3."""
+    _check_class(m, beta)
+    if beta < 2:
+        return 3 if m == 3 else m + 1
+    p = extremal_params(m, beta)
+    return 1 + p.a + 2 * (p.b + p.c + p.d)
+
+
+def _check_class(m: int, beta: int) -> None:
+    if beta < 1:
+        raise ValueError(f"matching number must be >= 1, got {beta}")
+    if m < beta:
+        raise ValueError(f"no graph has {m} edges and matching number {beta}")

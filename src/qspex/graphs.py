@@ -2,10 +2,13 @@
 
 Vertices are integers ``0..n-1``.  Adjacency lives in per-vertex bitmasks,
 which keeps edge tests, neighborhood scans and induced subgraphs cheap at the
-sizes this package targets (n <= 62, the single-byte graph6 range).  Graphs
-are immutable; edits return new objects.  A disconnected graph is labeled
-component by component, and each distinct component (equal masks after the
-order-preserving relabeling of `components`) is labeled once.
+sizes this package targets (n <= 62, the single-byte graph6 range); every
+padded mask array and dense adjacency stack of the batched filters and
+eigensolves is built here (`mask_stack`, `adjacency_stack`).  Graphs are
+immutable; edits return new objects.  A disconnected graph is labeled
+component by component, each distinct component (equal masks after the
+order-preserving relabeling of `components`) once, and the labeled parts are
+joined in one order (`canonical_union`).
 """
 
 from __future__ import annotations
@@ -267,6 +270,23 @@ def union_all(parts: Iterable[Graph]) -> Graph:
     if len(adj) > GRAPH6_MAX_N:
         raise ValueError("disjoint union exceeds supported vertex range")
     return Graph(len(adj), tuple(adj))
+
+
+# ---------------------------------------------------------------------------
+# Dense arrays: the one place masks become numpy stacks.
+# ---------------------------------------------------------------------------
+
+
+def mask_stack(graphs: Sequence[Graph], width: int) -> np.ndarray:
+    """The adjacency masks of each graph as one row of a (len(graphs), width)
+    int64 array, padded with isolated vertices past each graph's n."""
+    return np.array([g._adj + (0,) * (width - g.n) for g in graphs], dtype=np.int64)
+
+
+def adjacency_stack(masks: np.ndarray) -> np.ndarray:
+    """The 0/1 float adjacency matrices of adjacency mask rows: shape
+    (..., n) gives (..., n, n), bit j of row i being the (i, j) entry."""
+    return ((masks[..., None] >> np.arange(masks.shape[-1])) & 1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +612,18 @@ def canonical_graph(g: Graph, colors: tuple[int, ...] | None = None) -> Graph:
     for part, _ in decomp:
         if part not in labeled:
             labeled[part] = _connected_canonical(part)
-    return union_all(sorted((labeled[part] for part, _ in decomp), key=part_sort_key))
+    return canonical_union(labeled[part] for part, _ in decomp)
 
 
 def part_sort_key(p: Graph) -> tuple[int, int, int]:
     """Order of canonically labeled components in a canonical graph."""
     return (p.n, p.m, _g6_bits_key(p._adj, range(p.n)))
+
+
+def canonical_union(parts: Iterable[Graph]) -> Graph:
+    """The canonically labeled connected parts joined in part_sort_key order,
+    as canonical_graph joins them: a canonically labeled graph."""
+    return union_all(sorted(parts, key=part_sort_key))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -65,29 +65,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .family import extremal_params, predicted_maximizers
+from .family import predicted_maximizers, predicted_order
 from .graphs import (
     Graph,
     _bits,
     _refine_stack,
+    adjacency_stack,
     canonical_graph,
+    canonical_union,
     components,
     is_isomorphic,
-    part_sort_key,
+    mask_stack,
     strip_isolated,
     to_graph6,
-    union_all,
 )
 from .matching import MatchedGraph
-from .spectral import (
-    Q_MARGIN,
-    SpectralData,
-    extremal_component,
-    q_matrix,
-    q_pairs,
-    q_radii,
-    q_radius,
-)
+from .spectral import Q_MARGIN, SpectralData, extremal_component, q_matrix, q_pairs, q_radius
 from .transform import ROTATION_MARGIN, Move, MoveTable, candidate_table, move_detail
 
 DEFAULT_GUARD = 10  # enumeration refuses edge counts beyond this unless raised
@@ -145,7 +138,7 @@ def connected_catalog(k: int) -> list[tuple[Graph, int]]:
         _catalog[1] = [(k2, 1)]
     level = max(_catalog)
     while level < k:
-        seen: dict[tuple[int, ...], tuple[Graph, int]] = {}
+        seen: dict[Graph, int] = {}  # each new graph and its matching number
         stream = ((p, e) for p, _ in _catalog[level] for e in _augmentations(p))
         parent, matched = None, None  # built for the first new child of a parent
         while chunk := list(islice(stream, _FILTER_CHUNK)):
@@ -153,13 +146,12 @@ def connected_catalog(k: int) -> list[tuple[Graph, int]]:
                 p, e = chunk[i]
                 u, v = e
                 h = canonical_graph(Graph(len(adj), adj), colors=colors)
-                if h._adj not in seen:
+                if h not in seen:
                     if parent is not p:
                         parent, matched = p, MatchedGraph(p)
-                    nu = (matched.leaf_matching_number(u) if v == p.n
-                          else matched.rewired_matching_number((), (e,)))
-                    seen[h._adj] = h, nu
-        _catalog[level + 1] = sorted(seen.values(), key=lambda entry: to_graph6(entry[0]))
+                    seen[h] = (matched.leaf_matching_number(u) if v == p.n
+                               else matched.rewired_matching_number((), (e,)))
+        _catalog[level + 1] = sorted(seen.items(), key=lambda entry: to_graph6(entry[0]))
         level += 1
     return _catalog[k]
 
@@ -210,13 +202,6 @@ def _augmentations(g: Graph) -> Iterator[tuple[int, int]]:
         yield u, n
 
 
-def _adjacency_stack(masks: np.ndarray) -> np.ndarray:
-    """The 0/1 float adjacency matrices of a (B, N) array of adjacency masks."""
-    stack, width = masks.shape
-    bits = masks.astype("<i8").view(np.uint8).reshape(stack, width, 8)
-    return np.unpackbits(bits, axis=2, bitorder="little")[:, :, :width].astype(float)
-
-
 def _canonical_deletions(
     rows: list[tuple[Graph, tuple[int, int]]]
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
@@ -238,19 +223,18 @@ def _canonical_deletions(
     # the masks of each parent once, padded; then each row's new edge
     n = np.array([p.n + (e[1] == p.n) for p, e in rows])
     width = int(n.max())
-    parents: list[tuple[int, ...]] = []
-    which, last = [], None
+    parents: list[Graph] = []
+    which = []
     for p, _ in rows:
-        if p is not last:
-            parents.append(p._adj + (0,) * (width - p.n))
-            last = p
+        if not parents or p is not parents[-1]:
+            parents.append(p)
         which.append(len(parents) - 1)
-    masks = np.array(parents, dtype=np.int64)[which]
+    masks = mask_stack(parents, width)[which]
     r = np.arange(len(rows))
     u, v = np.array([e for _, e in rows]).T
     masks[r, u] |= 1 << v
     masks[r, v] |= 1 << u
-    adjacency = _adjacency_stack(masks)
+    adjacency = adjacency_stack(masks)
     lo, hi = _sorted_pairs(adjacency.sum(axis=2))
     edges = (adjacency > 0) & _upper(width)
     a, b = lo[r, u, v][:, None, None], hi[r, u, v][:, None, None]
@@ -343,10 +327,7 @@ def _solve(k: int) -> None:
     floor = dict(sorted(zip((b for _, b in catalog), rayleigh.tolist())))
     solve = [entry for entry, bound in zip(catalog, upper.tolist())
              if bound >= floor[entry[1]] - ARGMAX_BAND - PRUNE_SLACK]
-    # the batches come in catalog order, which graph6 sorts by n first
-    solved = [(solve[i], q, x[j], float(residual[j]))
-              for chunk, qs, x, residual in q_pairs([g for g, _ in solve])
-              for j, (i, q) in enumerate(zip(chunk, qs.tolist()))]
+    solved = [(entry, *pair) for entry, pair in zip(solve, q_pairs([g for g, _ in solve]))]
     # as for floor: the last q kept for each b is the cell maximum
     bands = {b: (q, []) for b, q in sorted((b, q) for (_, b), q, *_ in solved)}
     for (g, b), q, x, residual in solved:
@@ -367,7 +348,7 @@ def _degree_bounds(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(graphs), _FILTER_CHUNK):
         chunk = graphs[lo:lo + _FILTER_CHUNK]
         width = max(g.n for g in chunk)
-        adjacency = _adjacency_stack(np.array([g._adj + (0,) * (width - g.n) for g in chunk]))
+        adjacency = adjacency_stack(mask_stack(chunk, width))
         deg = adjacency.sum(axis=2)
         neighbor = adjacency * deg[:, None, :]
         upper.append((deg + neighbor.max(axis=2)).max(axis=1))
@@ -417,11 +398,6 @@ def _walk(r: int, lo: int, hi: int, c: int) -> Iterator[tuple[Graph, ...]]:
                         yield chosen + rest
 
 
-def _union(pieces: tuple[Graph, ...]) -> Graph:
-    # canonical pieces in canonical_graph's order: the union is canonically labeled
-    return union_all(sorted(pieces, key=part_sort_key))
-
-
 def class_size(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> int:
     """Size of the query class, read off the counts without building a member."""
     return _count(query.m, *_bounds(query, guard), len(_cells) - 1)
@@ -431,7 +407,7 @@ def enumerate_graphs(query: EnumerationQuery, guard: int = DEFAULT_GUARD) -> lis
     """All graphs (no isolated vertices, canonical labels) with m edges in the
     query class, sorted by canonical form; no radius is solved."""
     members = _walk(query.m, *_bounds(query, guard), len(_cells) - 1)
-    return sorted(map(_union, members), key=to_graph6)
+    return sorted(map(canonical_union, members), key=to_graph6)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +421,7 @@ def max_radius_over(graphs: list[Graph]) -> tuple[float, list[Graph]]:
     use this name; brute_force_max reads cell maxima instead."""
     if not graphs:
         raise ValueError("empty graph list")
-    radii = q_radii(graphs)
+    radii = [q for q, _, _ in q_pairs(graphs)]
     best = max(radii)
     argmax = [g for g, q in zip(graphs, radii) if q >= best - ARGMAX_BAND]
     return best, argmax
@@ -472,7 +448,7 @@ def brute_force_max(
     best = max(cells)[0]
     band = best - ARGMAX_BAND
     argmax = {
-        _union((g,) + rest)
+        canonical_union((g,) + rest)
         for q, k, b in cells if q >= band
         for g in _bands[k, b][1] if _kept[g][0] >= band
         for rest in _walk(m - k, lo - b, hi - b, last)
@@ -646,15 +622,9 @@ def hill_climb(
         pair = (q_after, x_after) if len(components(current)) == 1 else None
 
     trimmed = strip_isolated(current)
-    # no prediction has fewer vertices than `order` (S(a, b, c) + d*K2, or
-    # the star, or at m = 3 the triangle), and none is built that has more
-    # than the end graph: it could have more than a Graph can hold
-    if query.beta > 1:
-        p = extremal_params(query.m, query.beta)
-        order = 1 + p.a + 2 * (p.b + p.c + p.d)
-    else:
-        order = 3 if query.m == 3 else query.m + 1
-    converged = order <= trimmed.n and any(
+    # no prediction is built that has more vertices than the end graph: it
+    # could have more than a Graph can hold
+    converged = predicted_order(query.m, query.beta) <= trimmed.n and any(
         is_isomorphic(trimmed, t) for t in predicted_maximizers(query.m, query.beta)
     )
     return ClimbTrace(
@@ -668,8 +638,4 @@ def _certify(
     """(q_after, move, graph, eigenvector) of the moves of g, from one
     q_pairs batch."""
     graphs = [g.rewire(removed, added) for _, removed, added in moves]
-    return [
-        (value, moves[k], graphs[k], x[j])
-        for chunk, q, x, _ in q_pairs(graphs)
-        for j, (k, value) in enumerate(zip(chunk, q.tolist()))
-    ]
+    return [(q, move, h, x) for move, h, (q, x, _) in zip(moves, graphs, q_pairs(graphs))]

@@ -14,19 +14,19 @@ elsewhere; `extremal_component` holds that rule and is fed pairs two ways:
 equal masks, has the same radius), and the verdicts read the pairs their
 catalog levels kept (search.maximizer_spectrum).  `q_pairs` is the one
 batched solve: it stacks many whole graphs per eigh call without a component
-split.  The catalog levels and the hill climber get their pairs from it, and
-`q_radii` reads its eigenvalues; on the climber's disconnected graphs that
-the eigenvalue is the top one rests on eigh's ascending order.
+split and returns one pair per graph, in input order.  The catalog levels
+and the hill climber get their pairs from it; on the climber's disconnected
+graphs that the eigenvalue is the top one rests on eigh's ascending order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, components
+from .graphs import Graph, adjacency_stack, components, mask_stack
 
 # ---------------------------------------------------------------------------
 # Pinned numeric policy.  RESIDUAL_TOL is the certified bound on ||Qx - qx||_2
@@ -59,23 +59,18 @@ class SpectralData:
     support_component: int
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    return [g.neighbors_mask(v) for v in range(g.n)]
-
-
 def _q_stack(masks: np.ndarray) -> np.ndarray:
-    """Signless Laplacians of adjacency bitmask rows: shape (..., n) gives
-    (..., n, n).  Bit j of row i is the (i, j) adjacency entry; the diagonal
-    of A is zero, so the row sums are the degrees."""
+    """Signless Laplacians of adjacency mask rows: shape (..., n) gives
+    (..., n, n).  The diagonal of A is zero, so the row sums are the degrees."""
+    q = adjacency_stack(masks)
     cols = np.arange(masks.shape[-1])
-    q = ((masks[..., None] >> cols) & 1).astype(float)
     q[..., cols, cols] = q.sum(axis=-1)
     return q
 
 
 def q_matrix(g: Graph) -> np.ndarray:
     """Dense signless Laplacian D + A."""
-    return _q_stack(np.array(_adjacency_masks(g), dtype=np.int64))
+    return _q_stack(mask_stack([g], g.n))[0]
 
 
 def _polish(
@@ -159,41 +154,31 @@ def q_radius(g: Graph, residual_tol: float = RESIDUAL_TOL) -> SpectralData:
     return extremal_component(g, solve)
 
 
-def q_pairs(
-    graphs: Sequence[Graph],
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """Certified top pairs of whole graphs, within RESIDUAL_TOL, without a
-    component split: per batch, the indices of its graphs in `graphs` and
-    their radii, eigenvectors (one row each) and residuals.
+def q_pairs(graphs: Sequence[Graph]) -> list[tuple[float, np.ndarray, float]]:
+    """The certified top pair (q, x, residual) of each whole graph, within
+    RESIDUAL_TOL and without a component split, in the order of `graphs`; a
+    graph without edges gets 0, the zero vector and 0.
 
-    Graphs with the same vertex count are stacked, at most 128 to one eigh
-    call; graphs without edges are left out.  On a connected graph the pair
-    is bit for bit the one q_radius solves for it, since eigh and the check
-    treat each matrix of a stack on its own.  On a disconnected graph, that
-    the eigenvalue is the top one rests on eigh's ascending order.
+    Graphs with the same vertex count are stacked, at most _CHUNK to one eigh
+    call.  On a connected graph the pair is bit for bit the one q_radius
+    solves for it, since eigh and the check treat each matrix of a stack on
+    its own.  The top eigenvalue of the whole Q(G) is already the max over
+    components; on a disconnected graph, that it is the top one rests on
+    eigh's ascending order.
     """
+    pairs = [(0.0, np.zeros(g.n), 0.0) for g in graphs]
     by_n: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         if g.m:
             by_n.setdefault(g.n, []).append(i)
-    for idx in by_n.values():
+    for n, idx in by_n.items():
         for lo in range(0, len(idx), _CHUNK):
             chunk = idx[lo : lo + _CHUNK]
-            masks = np.array([_adjacency_masks(graphs[i]) for i in chunk], dtype=np.int64)
-            yield (chunk, *_top_pairs(_q_stack(masks), RESIDUAL_TOL))
-
-
-def q_radii(graphs: Sequence[Graph]) -> list[float]:
-    """q(G) for each graph, the radii of q_pairs; a graph without edges gets
-    0.0.  The top eigenvalue of the whole Q(G) is already the max over
-    components, which on a disconnected graph rests on eigh's ascending
-    order.  Agrees with q_radius(g).q to rounding.
-    """
-    radii = [0.0] * len(graphs)
-    for chunk, q, _, _ in q_pairs(graphs):
-        for i, value in zip(chunk, q.tolist()):
-            radii[i] = value
-    return radii
+            qs = _q_stack(mask_stack([graphs[i] for i in chunk], n))
+            q, x, residual = _top_pairs(qs, RESIDUAL_TOL)
+            for i, pair in zip(chunk, zip(q.tolist(), x, residual.tolist())):
+                pairs[i] = pair
+    return pairs
 
 
 def rayleigh_sum(g: Graph, x: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import GRAPH6_MAX_N, Graph
 from .spectral import q_matrix, q_radius
 
 # A rotation must raise q; the solver certifies radii to ~1e-10, so the
@@ -166,8 +166,9 @@ def candidate_table(g: Graph, x: Sequence[float]) -> MoveTable:
     """
     x = np.asarray(x, dtype=float)
     n = g.n
-    masks = np.array([g.neighbors_mask(v) | 1 << v for v in range(n)], dtype=np.int64)
-    closed = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)  # adjacent or equal
+    # adjacent, or equal with an edge at it: the diagonal is read only at the
+    # ends of edges
+    closed = q_matrix(g) > 0
     pairs = _pairs(n)
     is_edge = closed[pairs[:, 0], pairs[:, 1]]
     edge_at, free_at = np.flatnonzero(is_edge), np.flatnonzero(~is_edge)
@@ -328,11 +329,15 @@ def pendant_collapse(
     """Delete the edges in e2 and attach |e2| fresh pendant vertices at v1.
 
     Edge count is preserved by construction.  No monotonicity claim is made;
-    callers compare the returned radii.
+    callers compare the returned radii.  Refused before any solve when the
+    result would have more than GRAPH6_MAX_N vertices.
     """
     if not 0 <= v1 < g.n:
         raise ValueError(f"vertex {v1} out of range")
     edges = sorted({_norm_edge(e) for e in e2})
+    if g.n + len(edges) > GRAPH6_MAX_N:
+        raise ValueError(f"collapsing {len(edges)} edge(s) of a graph on {g.n} vertices needs"
+                         f" {g.n + len(edges)} vertices, more than the {GRAPH6_MAX_N} supported")
     pendants = [(v1, g.n + i) for i in range(len(edges))]
     g2 = g.add_vertices(len(edges)).rewire(edges, pendants)
     assert g2.m == g.m

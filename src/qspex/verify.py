@@ -34,7 +34,7 @@ from functools import cache
 from typing import Optional
 
 from .family import FamilyParams, extremal_params, predicted_maximizers
-from .graphs import Graph, canonical_graph, components, part_sort_key, to_graph6, union_all
+from .graphs import Graph, canonical_graph, canonical_union, components, to_graph6
 from .matching import Matching, OrderedMatching, _extremal_matching, proper_ordering
 from .search import (
     DEFAULT_GUARD,
@@ -179,7 +179,7 @@ def verify_theorem1(
     got = tuple(to_graph6(g) for g in argmax)  # canonical, in graph6 order
     # each piece labeled once per process, joined as canonical_graph joins them
     predicted = sorted(
-        (union_all(sorted([_canonical_piece(p) for p, _ in components(t)], key=part_sort_key))
+        (canonical_union(_canonical_piece(p) for p, _ in components(t))
          for t in predicted_maximizers(m, beta)),
         key=to_graph6,
     )

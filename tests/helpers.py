@@ -130,7 +130,7 @@ def oracle_level_scan_max(query) -> tuple[float, list[Graph]]:
     best = max(cells)[0]
     band = best - search.ARGMAX_BAND
     argmax = {
-        search._union((g,) + rest)
+        _graphs.canonical_union((g,) + rest)
         for q, k, b in cells if q >= band
         for g, p in oracle_cell_bands(k)[b][1] if p >= band
         for rest in search._walk(m - k, lo - b, hi - b, last)
@@ -289,7 +289,7 @@ def oracle_hill_climb(start: Graph, query, max_steps: int = 64):
     from qspex.graphs import is_isomorphic, strip_isolated
     from qspex.matching import MatchedGraph
     from qspex.search import ClimbStep, ClimbTrace
-    from qspex.spectral import Q_MARGIN, q_radii, q_radius
+    from qspex.spectral import Q_MARGIN, q_pairs, q_radius
     from qspex.transform import ROTATION_MARGIN, candidate_table, move_detail
 
     matched = MatchedGraph(start)
@@ -305,7 +305,7 @@ def oracle_hill_climb(start: Graph, query, max_steps: int = 64):
         ]
         gains = [
             (q_after, move)
-            for q_after, move in zip(q_radii([h for *_, h in moves]), moves)
+            for (q_after, _, _), move in zip(q_pairs([h for *_, h in moves]), moves)
             if q_after > spectrum.q + ROTATION_MARGIN
         ]
         if not gains:

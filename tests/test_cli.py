@@ -338,6 +338,13 @@ class TestRewireCommands:
         kv = dict(line.split(" ", 1) for line in out.strip().split("\n"))
         assert from_graph6(kv["graph6"]).m == 6
 
+    def test_collapse_past_62_vertices_is_refused_up_front(self, capsys):
+        p62 = to_graph6(Graph.from_edges(62, [(i, i + 1) for i in range(61)]))
+        code, out, err = run(capsys, "collapse", p62, "--center", "0", "--edges", "5,6")
+        assert code == 1 and out == ""
+        assert err == ("error: collapsing 1 edge(s) of a graph on 62 vertices needs 63"
+                       " vertices, more than the 62 supported\n")
+
     def test_malformed_pair(self, capsys):
         code, _, err = run(capsys, "rotate", P4, "--remove", "2;3", "--add", "1,3")
         assert code == 2 and "error" in err

@@ -10,8 +10,9 @@ from qspex.family import (
     extremal_params,
     predicted_extremal,
     predicted_maximizers,
+    predicted_order,
 )
-from qspex.graphs import Graph, canonical_form, components, is_isomorphic
+from qspex.graphs import GRAPH6_MAX_N, Graph, canonical_form, components, is_isomorphic
 from qspex.matching import matching_number
 from qspex.spectral import q_radius
 
@@ -198,3 +199,25 @@ class TestPredictedMaximizers:
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError, match="no graph"):
             predicted_maximizers(2, 3)
+
+
+class TestPredictedOrder:
+    def test_is_the_fewest_vertices_of_a_prediction(self):
+        built = 0
+        for m in range(1, 41):
+            for beta in range(1, m + 1):
+                order = predicted_order(m, beta)
+                if order > GRAPH6_MAX_N:
+                    # every prediction is larger than a Graph can hold
+                    with pytest.raises(ValueError, match="vertex range"):
+                        predicted_maximizers(m, beta)
+                    continue
+                assert order == min(t.n for t in predicted_maximizers(m, beta)), (m, beta)
+                built += 1
+        assert built > 700
+
+    @pytest.mark.parametrize("m, beta, match", [
+        (5, 0, "matching number must be >= 1"), (2, 3, "no graph"), (0, 1, "no graph")])
+    def test_rejects_what_predicted_maximizers_rejects(self, m, beta, match):
+        with pytest.raises(ValueError, match=match):
+            predicted_order(m, beta)

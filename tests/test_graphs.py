@@ -310,8 +310,7 @@ class TestRefineStack:
         # isolated vertices of a graph stay below the padding
         stack, _ = adjacency_arrays(gs)
         width = stack.shape[1]
-        masks = np.array([g._adj + (0,) * (width - g.n) for g in gs], dtype=np.int64)
-        assert np.array_equal(search._adjacency_stack(masks), stack)
+        assert np.array_equal(_graphs.adjacency_stack(_graphs.mask_stack(gs, width)), stack)
         assert_stack_refines_each(gs, stack)
 
     def test_equals_refine_up_to_62_vertices(self):

@@ -17,7 +17,6 @@ from qspex.spectral import (
     extremal_component,
     q_matrix,
     q_pairs,
-    q_radii,
     q_radius,
     rayleigh_sum,
 )
@@ -119,12 +118,16 @@ class TestAgainstPowerIteration:
             assert s.residual <= RESIDUAL_TOL
 
 
+def radii_of(gs):
+    return [q for q, _, _ in q_pairs(gs)]
+
+
 class TestBatchedRadii:
     @given(st.lists(graphs(max_n=9), max_size=24))
     def test_matches_q_radius_across_chunks(self, gs):
         # a chunk of 3 splits the same-n groups the way long lists are split
         with mock.patch.object(spectral, "_CHUNK", 3):
-            radii = q_radii(gs)
+            radii = radii_of(gs)
         assert len(radii) == len(gs)
         for g, q in zip(gs, radii):
             assert q == pytest.approx(q_radius(g).q, abs=1e-12)
@@ -134,29 +137,57 @@ class TestBatchedRadii:
         gs = [random_graph(rng, max_n=12) for _ in range(300)]
         gs += [Graph.from_edges(8), union_all([star(3), cycle(4)])] * 140
         assert max(sum(g.n == n for g in gs) for n in range(13)) > 128
-        radii = q_radii(gs)
+        radii = radii_of(gs)
         assert all(isinstance(q, float) for q in radii)
         for g, q in zip(gs, radii):
             assert q == pytest.approx(q_radius(g).q, abs=1e-12)
 
     def test_edgeless_and_empty(self):
-        assert q_radii([]) == []
-        assert q_radii([Graph.from_edges(0), Graph.from_edges(5)]) == [0.0, 0.0]
-        assert list(q_pairs([Graph.from_edges(5)])) == []
+        assert q_pairs([]) == []
+        pairs = q_pairs([Graph.from_edges(0), Graph.from_edges(5)])
+        assert [(q, x.tolist(), r) for q, x, r in pairs] == [
+            (0.0, [], 0.0), (0.0, [0.0] * 5, 0.0)]
+
+    def test_pairs_come_in_input_order(self):
+        # mixed vertex counts and edgeless graphs, shuffled, in stacks of 3
+        rng = random.Random(21)
+        gs = [random_graph(rng, max_n=9) for _ in range(40)]
+        gs += [Graph.from_edges(n) for n in (0, 1, 4, 9)]
+        rng.shuffle(gs)
+        assert len({g.n for g in gs if g.m}) >= 5
+        stacks = []
+
+        def counted_top_pairs(qs, tol):
+            stacks.append(len(qs))
+            return top_pairs(qs, tol)
+
+        top_pairs = spectral._top_pairs
+        with mock.patch.object(spectral, "_CHUNK", 3), \
+                mock.patch.object(spectral, "_top_pairs", counted_top_pairs):
+            pairs = q_pairs(gs)
+        assert max(stacks) <= 3 and sum(stacks) == sum(g.m > 0 for g in gs)
+        assert len(pairs) == len(gs)
+        for g, (q, x, residual) in zip(gs, pairs):
+            assert isinstance(q, float) and isinstance(residual, float)
+            assert x.shape == (g.n,)
+            if not g.m:
+                assert (q, residual) == (0.0, 0.0) and not x.any()
+                continue
+            assert q == pytest.approx(q_radius(g).q, abs=1e-12)
+            assert residual <= RESIDUAL_TOL
+            assert np.linalg.norm(q_matrix(g) @ x - q * x) <= RESIDUAL_TOL
 
     @given(st.lists(graphs(max_n=9), max_size=24))
     def test_pairs_of_connected_graphs_are_q_radius_bit_for_bit(self, gs):
         # the level batches hand these pairs to the verdicts in place of q_radius
         gs = [g for g in gs if g.m and len(components(g)) == 1]
         with mock.patch.object(spectral, "_CHUNK", 3):
-            batches = list(q_pairs(gs))
-        assert sorted(i for chunk, *_ in batches for i in chunk) == list(range(len(gs)))
-        for chunk, q, x, residual in batches:
-            assert len(chunk) <= 3
-            for j, i in enumerate(chunk):
-                s = q_radius(gs[i])
-                assert (float(q[j]), float(residual[j])) == (s.q, s.residual)
-                assert np.array_equal(x[j], s.x)
+            pairs = q_pairs(gs)
+        assert len(pairs) == len(gs)
+        for g, (q, x, residual) in zip(gs, pairs):
+            s = q_radius(g)
+            assert (q, residual) == (s.q, s.residual)
+            assert np.array_equal(x, s.x)
 
 
 class TestResidualTolerance:
@@ -178,7 +209,7 @@ class TestResidualTolerance:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ArithmeticError, match="residual"):
             q_radius(complete(40), residual_tol=1e-30)
-        # the batched path q_radii takes, on a stack of two graphs
+        # the batched path q_pairs takes, on a stack of two graphs
         stack = np.stack([q_matrix(complete(40)), q_matrix(star(39))])
         with pytest.raises(ArithmeticError, match="residual"):
             spectral._top_pairs(stack, 1e-30)
