@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the verification pipeline end to end and layer by layer, and write
-BENCH_<sha>.json.
+BENCH_<sha>.json; with --base, time another tree alongside and write the
+per-pair ratios too.
 
-Each repetition runs two tasks, each in a fresh interpreter, so the catalog
-starts empty:
+The tree's src/ is copied to a temporary directory, and each repetition
+runs two tasks, each in a fresh interpreter that imports qspex from that
+copy (PYTHONHASHSEED=0, one BLAS thread), so the catalog starts empty:
 
 - the sweep: verify_theorem1 and its CSV report for every (m, beta) with
   1 <= beta <= m <= --m-max, timed as a whole; inside that pass each
@@ -15,7 +17,9 @@ starts empty:
   catalog graph under a seeded relabeling, and the hill climber from seeded
   random starts, per step and per climb (its 90th percentile); an untimed
   second pass of the climbs counts the matrices certified and the admission
-  checks made per step;
+  checks made per step; and a control layer that runs no qspex code, a
+  fixed batch of numpy eigh calls (control_eigh_s), shows how fast the host
+  was;
 - the catalog: connected_catalog(k) for k = 1 .. --m-max, one level per
   call, each followed by the level's solve (search._solve), counting the
   pieces it passes to the eigensolver.
@@ -27,9 +31,19 @@ machine (nproc, Python and numpy versions) and the source measured: the git
 sha of HEAD, whether src/ differs from it (then the name ends in -dirty), and
 a sha256 of the qspex sources.
 
+--base TREE compares this tree with another checkout, such as the parent
+commit's.  The src/ of both trees is copied under the same temporary
+directory, and the repetitions alternate between them: base, change,
+change, base, and so on, so that both sides meet the same drift of the
+host.  The file then
+holds this tree's figures as above, the base's under "base", and under
+"ratios" the change/base ratio of every layer in each pair of repetitions,
+with their median and quartiles.
+
 Examples:
-    PYTHONPATH=src python scripts/bench.py                  # bench/BENCH_<sha>.json
-    PYTHONPATH=src python scripts/bench.py --m-max 8 --repeats 3 --out-dir /tmp
+    python scripts/bench.py                              # bench/BENCH_<sha>.json
+    python scripts/bench.py --m-max 8 --repeats 3 --out-dir /tmp
+    python scripts/bench.py --base ../qspex-parent       # both trees, one file
 """
 
 from __future__ import annotations
@@ -37,15 +51,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,7 +78,11 @@ def parse_args(argv=None):
                         help="climber starts per repetition (default: 100)")
     parser.add_argument("--out-dir", type=Path, default=REPO / "bench",
                         help="directory of the BENCH file (default: bench/)")
+    parser.add_argument("--base", type=Path, default=None, metavar="TREE",
+                        help="a checkout to time alongside this tree, alternating")
     args = parser.parse_args(argv)
+    if args.base is not None and not (args.base / "src" / "qspex").is_dir():
+        parser.error(f"--base {args.base} has no src/qspex")
     for name in ("m_max", "repeats"):
         if getattr(args, name) < 1:
             parser.error(f"--{name.replace('_', '-')} must be at least 1")
@@ -139,6 +157,7 @@ def sweep_task(m_max: int, climbs: int) -> dict:
             steps.append(climb_times[-1] / len(trace.steps))
     climb_p90 = statistics.quantiles(climb_times, n=10)[-1] if len(climb_times) > 1 else None
     return {
+        "control_eigh_s": control_eigh(),
         "sweep_s": sweep_s,
         "verdict_s": _median(verdicts),
         "verdict_cold_s": _median(cold),
@@ -152,6 +171,16 @@ def sweep_task(m_max: int, climbs: int) -> dict:
                     "q_radius_graphs": len(radii),
                     "canonical_graph_calls": len(labelings), "climbs_with_steps": len(steps)},
     }
+
+
+def control_eigh() -> float:
+    """Median seconds of one numpy eigh call on a fixed stack of 64 symmetric
+    10 x 10 matrices: no qspex code, so it moves only with the host."""
+    import numpy as np
+
+    a = np.random.default_rng(SEED).random((64, 10, 10))
+    stack = a + a.transpose(0, 2, 1)
+    return statistics.median(_per_call(np.linalg.eigh, [stack] * 200))
 
 
 def climb_counts(starts) -> dict[str, float | None]:
@@ -209,36 +238,55 @@ def catalog_task(m_max: int) -> dict[str, dict[str, float]]:
     return {"growth": growth, "solve": solve, "pieces": pieces}
 
 
-def _fresh(fn, *args):
-    """fn(*args) in a new interpreter, which imports qspex afresh."""
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return pool.submit(fn, *args).result()
+# runs a task of this script in a fresh interpreter and prints its result
+_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench;"
+          " print(json.dumps(getattr(bench, sys.argv[2])(*json.loads(sys.argv[3]))))")
 
 
-def _git(*args: str) -> str:
+def _fresh(src: Path, task: str, *args):
+    """The task of this script run with args in a new interpreter that
+    imports qspex from src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(Path(__file__).resolve().parent), task,
+         json.dumps(args)],
+        cwd=src, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _git(root: Path, *args: str) -> str:
     try:
-        out = subprocess.run(["git", *args], cwd=REPO, capture_output=True, text=True, check=True)
+        out = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return ""
     return out.stdout.strip()
 
 
-def source_info() -> dict:
+def source_info(root: Path = REPO) -> dict:
     digest = hashlib.sha256()
-    for path in sorted((REPO / "src" / "qspex").glob("*.py")):
+    for path in sorted((root / "src" / "qspex").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return {
-        "sha": _git("rev-parse", "HEAD") or "unknown",
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src")),
+        "sha": _git(root, "rev-parse", "HEAD") or "unknown",
+        "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no", "--", "src")),
         "source_sha256": digest.hexdigest(),
     }
 
 
-def run(args) -> dict:
-    import numpy
+# the layers each sweep task and each catalog task reports, as the file names them
+SWEEP_LAYERS = ("canonical_graph_call_s", "q_radius_graph_s", "verdict_s", "verdict_cold_s",
+                "lemma_status_s", "climb_step_s", "climb_p90_s", "control_eigh_s")
+CATALOG_LAYERS = {"catalog_level_s": "growth", "level_solve_s": "solve",
+                  "level_solved_pieces": "pieces"}
+# counts repeat exactly across repetitions
+COUNT_LAYERS = ("climb_certified_per_step", "climb_admissions_per_step")
 
-    sweeps = [_fresh(sweep_task, args.m_max, args.climbs) for _ in range(args.repeats)]
-    growth = [_fresh(catalog_task, args.m_max) for _ in range(args.repeats)]
+
+def summary(sweeps: list[dict], growth: list[dict]) -> dict:
+    """The medians over one tree's repetitions."""
 
     def median_of(key: str) -> float | None:
         values = [s[key] for s in sweeps if s[key] is not None]
@@ -247,7 +295,60 @@ def run(args) -> dict:
     def level_median(key: str) -> dict[str, float]:
         return {k: statistics.median(g[key][k] for g in growth) for k in growth[0][key]}
 
+    layers = {name: level_median(key) for name, key in CATALOG_LAYERS.items()}
+    layers["level_solved_pieces"] = growth[0]["pieces"]  # counts repeat exactly
+    layers.update((name, median_of(name)) for name in SWEEP_LAYERS)
+    layers.update((name, sweeps[0][name]) for name in COUNT_LAYERS)
     return {
+        "sweep_s": median_of("sweep_s"),
+        "sweep_runs_s": [s["sweep_s"] for s in sweeps],
+        "layers": layers,
+        "samples": sweeps[0]["samples"],
+    }
+
+
+def _spread(ratios: list[float]) -> dict:
+    quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return {"pairs": ratios, "median": statistics.median(ratios),
+            "quartiles": [quartiles[0], quartiles[2]]}
+
+
+def pair_ratios(change: tuple[list, list], base: tuple[list, list]) -> dict:
+    """change/base of every layer in each pair of repetitions, with their
+    median and quartiles; a pair with a missing or zero base value is left
+    out."""
+
+    def ratios(pairs) -> dict | None:
+        kept = [c / b for c, b in pairs if c is not None and b]
+        return _spread(kept) if kept else None
+
+    (sweeps, growth), (base_sweeps, base_growth) = change, base
+    out = {name: ratios([(s[name], b[name]) for s, b in zip(sweeps, base_sweeps)])
+           for name in ("sweep_s",) + SWEEP_LAYERS + COUNT_LAYERS}
+    for name, key in CATALOG_LAYERS.items():
+        out[name] = {k: ratios([(g[key][k], b[key][k]) for g, b in zip(growth, base_growth)])
+                     for k in growth[0][key]}
+    return out
+
+
+def run(args) -> dict:
+    import numpy
+
+    trees = {"change": REPO} if args.base is None else {"base": args.base, "change": REPO}
+    runs = {side: ([], []) for side in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = {side: Path(shutil.copytree(root / "src", Path(tmp) / side / "src",
+                                           ignore=shutil.ignore_patterns("__pycache__")))
+                for side, root in trees.items()}
+        order = list(trees)
+        for _ in range(args.repeats):
+            for side in order:
+                sweeps, growth = runs[side]
+                sweeps.append(_fresh(srcs[side], "sweep_task", args.m_max, args.climbs))
+                growth.append(_fresh(srcs[side], "catalog_task", args.m_max))
+            order.reverse()
+
+    result = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count(),
@@ -257,26 +358,12 @@ def run(args) -> dict:
         "git": source_info(),
         "settings": {"m_max": args.m_max, "repeats": args.repeats,
                      "climbs": args.climbs, "seed": SEED},
-        "sweep_s": median_of("sweep_s"),
-        "sweep_runs_s": [s["sweep_s"] for s in sweeps],
-        "layers": {
-            "catalog_level_s": level_median("growth"),
-            "level_solve_s": level_median("solve"),
-            # counts repeat exactly across repetitions
-            "level_solved_pieces": growth[0]["pieces"],
-            "canonical_graph_call_s": median_of("canonical_graph_call_s"),
-            "q_radius_graph_s": median_of("q_radius_graph_s"),
-            "verdict_s": median_of("verdict_s"),
-            "verdict_cold_s": median_of("verdict_cold_s"),
-            "lemma_status_s": median_of("lemma_status_s"),
-            "climb_step_s": median_of("climb_step_s"),
-            "climb_p90_s": median_of("climb_p90_s"),
-            # counts repeat exactly across repetitions
-            "climb_certified_per_step": sweeps[0]["climb_certified_per_step"],
-            "climb_admissions_per_step": sweeps[0]["climb_admissions_per_step"],
-        },
-        "samples": sweeps[0]["samples"],
+        **summary(*runs["change"]),
     }
+    if args.base is not None:
+        result["base"] = {"git": source_info(args.base), **summary(*runs["base"])}
+        result["ratios"] = pair_ratios(runs["change"], runs["base"])
+    return result
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,8 @@ import os
 import sys
 from typing import Optional
 
-from .family import extremal_params, predicted_maximizers
-from .graphs import Graph6Error, canonical_graph, from_graph6, to_graph6
+from .family import extremal_params, predicted_maximizers, predicted_order
+from .graphs import GRAPH6_MAX_N, Graph6Error, canonical_graph, from_graph6, to_graph6
 from .search import DEFAULT_GUARD, EnumerationQuery, enumerate_graphs, hill_climb
 from .spectral import RESIDUAL_TOL, q_radius
 from .matching import matching_number
@@ -105,6 +105,10 @@ def _cmd_beta(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 def _cmd_extremal(args: argparse.Namespace) -> tuple[list[str], int]:
+    order = predicted_order(args.m, args.beta)
+    if order > GRAPH6_MAX_N:
+        raise ValueError(f"the predicted maximizers for m = {args.m}, beta = {args.beta} have"
+                         f" {order} vertices, more than the {GRAPH6_MAX_N} supported")
     graphs = [canonical_graph(g) for g in predicted_maximizers(args.m, args.beta)]
     lines = [f"graph6 {to_graph6(g)}" for g in graphs]
     lines.append(f"q {_fmt(q_radius(graphs[0]).q)}")

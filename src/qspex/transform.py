@@ -123,11 +123,14 @@ class MoveTable:
     `non_edges` (a rotation's second column is -1), the sums x_a + x_b of the
     eigenvector over the ends of those edges (a rotation's second column is
     0), and the number of ends a rotation's two edges share (0 for a swap).
-    The first `rotations` rows are the rotations; move(i) builds row i as
-    (move, removed, added)."""
+    `edge_ends` and `non_edge_ends` hold `edges` and `non_edges` as (k, 2)
+    arrays.  The first `rotations` rows are the rotations; move(i) builds row
+    i as (move, removed, added)."""
 
     edges: list[tuple[int, int]]
     non_edges: list[tuple[int, int]]
+    edge_ends: np.ndarray
+    non_edge_ends: np.ndarray
     removed_at: np.ndarray
     added_at: np.ndarray
     removed: np.ndarray
@@ -214,7 +217,7 @@ def candidate_table(g: Graph, x: Sequence[float]) -> MoveTable:
     removed[r:, 0], removed[r:, 1] = removed_sum[first], removed_sum[second]
     added[r:, 0], added[r:, 1] = x[ui] + x[uj], x[vi] + x[vj]
     return MoveTable(
-        list(map(tuple, ends.tolist())), list(map(tuple, free.tolist())),
+        list(map(tuple, ends.tolist())), list(map(tuple, free.tolist())), ends, free,
         removed_at, added_at, removed, added, shared, r,
     )
 

@@ -43,3 +43,36 @@ def test_bench_file_shape(tmp_path):
     # graphs up to k = 3
     assert data["samples"] == {"verdicts": 3, "lemma_status_calls": 3, "q_radius_graphs": 5,
                                "canonical_graph_calls": 5, "climbs_with_steps": 2}
+
+
+def test_base_run_pairs_both_trees(tmp_path):
+    # this tree against itself: both sides measure the same sources, and the
+    # counts repeat exactly, so their ratios are 1
+    subprocess.run(
+        [sys.executable, str(SCRIPT), "--m-max", "3", "--repeats", "2", "--climbs", "2",
+         "--out-dir", str(tmp_path), "--base", str(REPO)],
+        check=True, capture_output=True, timeout=120,
+    )
+    (path,) = tmp_path.glob("BENCH_*.json")
+    data = json.loads(path.read_text())
+    base = data["base"]
+    assert base["git"]["source_sha256"] == data["git"]["source_sha256"]
+    assert sorted(base["layers"]) == sorted(data["layers"])
+    assert len(base["sweep_runs_s"]) == len(data["sweep_runs_s"]) == 2
+    assert isinstance(data["layers"]["control_eigh_s"], float)
+    ratios = data["ratios"]
+    assert sorted(ratios) == sorted(["sweep_s", *data["layers"]])
+    for name in ("sweep_s", "control_eigh_s", "climb_p90_s"):
+        assert len(ratios[name]["pairs"]) == 2 and ratios[name]["median"] > 0, name
+        low, high = ratios[name]["quartiles"]
+        assert low <= ratios[name]["median"] <= high, name
+    assert sorted(ratios["catalog_level_s"]) == ["1", "2", "3"]
+    for name in ("climb_certified_per_step", "climb_admissions_per_step"):
+        assert ratios[name]["pairs"] == [1.0, 1.0], name
+    assert all(r["pairs"] == [1.0, 1.0] for r in ratios["level_solved_pieces"].values())
+
+
+def test_base_must_be_a_checkout(tmp_path):
+    done = subprocess.run([sys.executable, str(SCRIPT), "--base", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "has no src/qspex" in done.stderr

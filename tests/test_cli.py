@@ -142,6 +142,18 @@ class TestExtremal:
         code, _, err = run(capsys, "extremal", "--m", "2", "--beta", "3")
         assert code == 1 and "no graph" in err
 
+    @pytest.mark.parametrize("m, beta, order", [(62, 1, 63), (65, 2, 65)])
+    def test_past_62_vertices_is_refused_up_front(self, capsys, m, beta, order):
+        # the order of the prediction, not a vertex count raised by Graph
+        code, out, err = run(capsys, "extremal", "--m", str(m), "--beta", str(beta))
+        assert code == 1 and out == ""
+        assert err == (f"error: the predicted maximizers for m = {m}, beta = {beta} have"
+                       f" {order} vertices, more than the 62 supported\n")
+
+    def test_62_vertices_still_answer(self, capsys):
+        code, out, _ = run(capsys, "extremal", "--m", "61", "--beta", "1")
+        assert code == 0 and out.endswith("\nq 62\n")
+
     def test_twin_heavy_class_is_fast(self, capsys):
         # S(10,0,6): ten pendant twins and six twin triangle pairs; the
         # labeling took about 54 s without twin pruning

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,7 @@ from qspex.search import (
     maximizer_spectrum,
 )
 from qspex.spectral import q_pairs, q_radius
+from qspex.transform import candidate_table
 from qspex.verify import verify_theorem1
 
 from helpers import (
@@ -554,3 +556,117 @@ class TestClimberBounds:
 
     def test_slack_covers_the_certified_residual(self):
         assert search.PRUNE_SLACK >= 2 * spectral.RESIDUAL_TOL
+
+
+class TestReachScreen:
+    """can_reach drops a move only when Q after it has no eigenvalue above
+    mu0, by inertia counts read off one eigendecomposition of Q(g)."""
+
+    @staticmethod
+    def screened(g: Graph) -> tuple:
+        spectrum = q_radius(g)
+        eigen = np.linalg.eigh(spectral.q_matrix(g))
+        table = candidate_table(g, spectrum.x)
+        radii = np.array([q for q, _, _ in q_pairs([g.rewire(*table.move(i)[1:])
+                                                    for i in range(len(table))])])
+        return spectrum.q, eigen, table, radii
+
+    def test_drops_only_moves_below_mu0(self):
+        rng = random.Random(23)
+        graphs = [random_graph(rng, max_n=12) for _ in range(400)]
+        graphs = [g for g in graphs if g.n >= 4 and g.m][:200]
+        copies = TestClimberBounds.two_copies()
+        graphs += copies + [g.add_vertices(2) for g in copies]
+        graphs += [g.add_vertices(1) for g in graphs[:40]]
+        assert len(graphs) >= 250 and sum(len(components(g)) > 1 for g in graphs) >= 60
+        dropped = 0
+        for g in graphs:
+            q, eigen, table, radii = self.screened(g)
+            rows = np.arange(len(table))
+            # just above q, far above it, and just below, at and above the best moves
+            levels = sorted(set(radii[radii > q + 1e-3].tolist()))[-3:]
+            for mu0 in [q + 2e-6, q + 1e-3] + [r + d for r in levels for d in (-1e-7, 0, 1e-7)]:
+                keep = search.can_reach(table, rows, eigen, mu0)
+                assert (radii[~keep] < mu0).all(), to_graph6(g)
+                dropped += int((~keep).sum())
+                if mu0 >= q + 1e-3:
+                    # exact away from q: a move whose radius is not mu0 up to
+                    # rounding is kept if and only if it reaches mu0
+                    apart = abs(radii - mu0) > 1e-9
+                    assert (keep == (radii > mu0))[apart].all(), to_graph6(g)
+        assert dropped > 10000
+
+    def test_drops_nothing_within_the_gap(self):
+        rng = random.Random(29)
+        graphs = [random_graph(rng, max_n=12) for _ in range(60)] + TestClimberBounds.two_copies()
+        for g in graphs:
+            q, eigen, table, radii = self.screened(g)
+            rows = np.arange(len(table))
+            top = eigen[0][-1]
+            for mu0 in (q - 1.0, q, top + search._SCREEN_GAP / 2, top + search._SCREEN_GAP):
+                assert search.can_reach(table, rows, eigen, mu0).all()
+            assert search.can_reach(table, rows[:0], eigen, q + 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_give_the_same_answer(self, block, monkeypatch):
+        rng = random.Random(31)
+        cases = []
+        for g in [random_graph(rng, max_n=12) for _ in range(40)]:
+            q, eigen, table, radii = self.screened(g)
+            levels = radii[radii > q + 1e-3]
+            if len(levels):
+                cases.append((eigen, table, float(np.median(levels))))
+        want = [search.can_reach(table, np.arange(len(table)), eigen, mu0)
+                for eigen, table, mu0 in cases]
+        assert sum(len(keep) > 7 and not keep.all() for keep in want) >= 10
+        monkeypatch.setattr(search, "_SCREEN_BLOCK", block)
+        for (eigen, table, mu0), keep in zip(cases, want):
+            assert np.array_equal(search.can_reach(table, np.arange(len(table)), eigen, mu0), keep)
+
+    def test_dense_62_vertex_graph_is_screened_in_blocks(self):
+        # 62 vertices and 1,200 edges: a table of some 10^5 moves, whose
+        # bordered matrices gathered at once would take 512 bytes a move
+        rng = random.Random(60)
+        pairs = [(u, v) for u in range(62) for v in range(u + 1, 62)]
+        g = Graph.from_edges(62, rng.sample(pairs, 1200))
+        spectrum = q_radius(g)
+        eigen = np.linalg.eigh(spectral.q_matrix(g))
+        table = candidate_table(g, spectrum.x)
+        rows = np.arange(len(table))
+        sample = np.sort(np.random.default_rng(60).choice(rows, 200, replace=False))
+        radii = np.array([q for q, _, _ in q_pairs([g.rewire(*table.move(i)[1:])
+                                                    for i in sample])])
+        mu0 = float(np.median(radii))
+        assert len(table) > 50 * search._SCREEN_BLOCK and mu0 > eigen[0][-1] + 1e-3
+        tracemalloc.start()
+        try:
+            keep = search.can_reach(table, rows, eigen, mu0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 512 * search._SCREEN_BLOCK + keep.nbytes
+        apart = abs(radii - mu0) > 1e-9
+        assert (keep[sample] == (radii > mu0))[apart].all()
+        assert np.array_equal(search.can_reach(table, sample, eigen, mu0), keep[sample])
+
+    def test_rotation_on_p4_counts_by_hand(self):
+        # P4 = 0-1-2-3 has x_0 = x_3 < x_1 = x_2, so the rotation -(2, 3)
+        # +(1, 3) is justified (a tie); it makes the star K1,3 centered at 1,
+        # whose Q has eigenvalues 4, 1, 1, 0
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        q, eigen, table, radii = self.screened(p4)
+        assert q == pytest.approx(2 + np.sqrt(2))
+        (row,) = [i for i in range(len(table)) if table.move(i) == ("rotate", ((2, 3),), ((1, 3),))]
+        assert radii[row] == pytest.approx(4.0)
+        w_f, w_e = np.zeros(4), np.zeros(4)
+        w_f[[1, 3]] = w_e[[2, 3]] = 1.0
+        for mu0, above in [(3.5, 1), (3.9, 1), (4.1, 0), (5.0, 0)]:
+            # Haynsworth: the eigenvalues of Q' above mu0 are the positive
+            # eigenvalues of M = diag(-1, 1) + W^T (mu0 I - Q)^-1 W, less one
+            resolvent = np.linalg.inv(mu0 * np.eye(4) - spectral.q_matrix(p4))
+            m = np.array([[w_f @ resolvent @ w_f - 1, w_f @ resolvent @ w_e],
+                          [w_e @ resolvent @ w_f, w_e @ resolvent @ w_e + 1]])
+            assert (np.linalg.eigvalsh(m) > 0).sum() - 1 == above
+            star = spectral.q_matrix(p4.rewire(((2, 3),), ((1, 3),)))
+            assert (np.linalg.eigvalsh(star) > mu0).sum() == above
+            assert search.can_reach(table, np.array([row]), eigen, mu0).tolist() == [bool(above)]
